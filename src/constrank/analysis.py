@@ -23,8 +23,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
-    BudgetExceeded,
     DimensionMismatch,
     InternalVerificationFailed,
     NotConstantRank,
@@ -36,7 +37,9 @@ from .matrix import MatGF, _rank_rows, _reduce_vector, _rref_rows
 from .subspace import (
     DEFAULT_ENUMERATION_BUDGET,
     SubspaceBasis,
-    _iter_span_entries,
+    _check_budget,
+    _matrix_of,
+    _ranked_blocks,
     rank_profile,
 )
 
@@ -206,64 +209,52 @@ def check_image_of_kernel(S: SubspaceBasis, *, sample: int | None = None,
             f"got {S.m}x{S.n}"
         )
     F = S.field
-    q, n, d = F.q, S.n, S.d
-    total = q ** d
-    if total > budget:
-        raise BudgetExceeded(
-            f"span has {total} elements, enumeration budget is {budget}"
-        )
+    n = S.n
+    _check_budget(S, budget)
 
     max_rank = 0
     max_count = 0
-    it = _iter_span_entries(S)
-    next(it)
-    for ent in it:
-        rows = [list(ent[i * n: (i + 1) * n]) for i in range(n)]
-        rk = _rank_rows(F, rows)
-        if rk > max_rank:
-            max_rank = rk
-            max_count = 1
-        elif rk == max_rank:
-            max_count += 1
+    for _, ranks in _ranked_blocks(S):
+        top = int(ranks.max())
+        if top > max_rank:
+            max_rank, max_count = top, 0
+        if top == max_rank:
+            max_count += int(np.count_nonzero(ranks == top))
 
     sampled = sample is not None and sample < max_count
     if sampled:
         import random as _random
 
-        chosen: set[int] | None = set(
-            _random.Random(seed).sample(range(max_count), sample)
-        )
+        chosen = np.array(_random.Random(seed).sample(range(max_count), sample))
     else:
         chosen = None
 
     violations: list[tuple[MatGF, MatGF, MatGF]] = []
     elements_checked = 0
     triples_checked = 0
-    ordinal = 0
-    it = _iter_span_entries(S)
-    next(it)
-    for ent in it:
-        rows = [list(ent[i * n: (i + 1) * n]) for i in range(n)]
-        if _rank_rows(F, rows) != max_rank:
-            continue
-        ordinal += 1
-        if chosen is not None and (ordinal - 1) not in chosen:
-            continue
-        A = MatGF(F, n, n, ent)
-        kernel = A.kernel_basis()
-        if not kernel:
+    seen = 0
+    for block, ranks in _ranked_blocks(S):
+        hit = np.flatnonzero(ranks == max_rank)
+        if chosen is not None:
+            ordinals = np.arange(seen, seen + len(hit))
+            seen += len(hit)
+            hit = hit[np.isin(ordinals, chosen)]
+        for pos in hit:
+            A = _matrix_of(S, block[pos])
+            kernel = A.kernel_basis()
+            if not kernel:
+                elements_checked += 1
+                continue
+            image_rows = A.transpose().rows_as_lists()
+            image_pivots = _rref_rows(F, image_rows)
+            for u in kernel:
+                for B in S.basis:
+                    w = _matvec(F, B.entries, n, n, u.entries)
+                    _reduce_vector(F, w, image_rows, image_pivots)
+                    triples_checked += 1
+                    if any(w):
+                        violations.append((A, u, B))
             elements_checked += 1
-            continue
-        image_rows = A.transpose().rows_as_lists()
-        image_pivots = _rref_rows(F, image_rows)
-        for u in kernel:
-            for B in S.basis:
-                w = _matvec(F, B.entries, n, n, u.entries)
-                _reduce_vector(F, w, image_rows, image_pivots)
-                triples_checked += 1
-                if any(w):
-                    violations.append((A, u, B))
-        elements_checked += 1
     return ImageOfKernelReport(
         max_rank=max_rank,
         elements_checked=elements_checked,

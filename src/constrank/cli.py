@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (including a certified exhausted search), 1 when a
 checked property fails (not constant rank, containment violated), 2 for
-usage and parse problems, 3 when a budget is exceeded.
+usage and parse problems, 3 when a budget is exceeded, 4 when a library
+self-check fails (a defect in this package, not in the input).
 
 Reports are key=value lines under a schema=1 header (or one JSON object
 with --json).  construct and search write their subspace artifact to
@@ -27,6 +28,7 @@ from .construct import truncated_construction
 from .errors import (
     BudgetExceeded,
     ConstrankError,
+    InternalVerificationFailed,
     NotConstantRank,
     ParseError,
     ShapeViolation,
@@ -243,8 +245,16 @@ def render_report(report: dict, json_mode: bool) -> str:
 
 def _read_subspace(config: RunConfig) -> SubspaceBasis:
     assert config.input_path is not None
-    with open(config.input_path, "r", encoding="ascii") as fh:
-        return parse_subspace(fh.read())
+    with open(config.input_path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        at = exc.start
+        line_start = data.rfind(b"\n", 0, at) + 1
+        raise ParseError(f"non-ASCII byte 0x{data[at]:02x}",
+                         data.count(b"\n", 0, at) + 1, at - line_start + 1)
+    return parse_subspace(text)
 
 
 def _shape_str(m: int, n: int) -> str:
@@ -451,6 +461,10 @@ def main(argv=None) -> int:
     except NotConstantRank as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalVerificationFailed as exc:
+        print(f"internal error (a defect in constrank): {exc}",
+              file=sys.stderr)
+        return 4
     except ConstrankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

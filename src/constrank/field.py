@@ -129,7 +129,8 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "e", "q", "modulus", "exp_table", "log_table",
-                 "_neg", "_inv", "_add_flat", "_sub_flat", "_mul_flat")
+                 "_neg", "_inv", "_add_flat", "_sub_flat", "_mul_flat",
+                 "_arrays")
 
     def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | None = None):
         if not isinstance(p, int) or not _is_prime(p):
@@ -168,6 +169,7 @@ class FieldSpec:
                         f"polynomial {mod} is reducible over GF({p})"
                     )
             self.modulus = tuple(mod)
+        self._arrays = None
         self._build_tables()
         if self.q <= _TABLE_CAP:
             self._verify_axioms()
@@ -346,6 +348,13 @@ class FieldSpec:
     def nonzero_elements(self) -> range:
         return range(1, self.q)
 
+    @property
+    def arrays(self) -> "FieldArrays":
+        """Elementwise arithmetic on numpy arrays of codes, built on first use."""
+        if self._arrays is None:
+            self._arrays = FieldArrays(self)
+        return self._arrays
+
     # -- identity / text -----------------------------------------------------
 
     @property
@@ -374,6 +383,54 @@ class FieldSpec:
         rebuilt = make_field(p, e, modulus if modulus else None)
         for slot in self.__slots__:
             object.__setattr__(self, slot, getattr(rebuilt, slot))
+
+
+class FieldArrays:
+    """O(q) lookup arrays for arithmetic on numpy arrays of field codes.
+
+    Multiplication goes through exp/log.  log maps 0 to 2(q-1), and exp is
+    zero from index 2(q-1) on, so a product with a zero factor needs no
+    branch.  Addition is XOR in characteristic 2, a table of residues
+    mod p in prime fields, and Zech logarithms otherwise:
+    g^a + g^b = g^(a + Z(b - a)) with Z(k) = log(1 + g^k).
+    """
+
+    __slots__ = ("log", "exp", "inv", "neg", "add")
+
+    def __init__(self, F: FieldSpec):
+        q, p = F.q, F.p
+        zero_log = 2 * (q - 1)
+        self.log = np.array(F.log_table, dtype=np.int32)
+        self.log[0] = zero_log
+        self.exp = np.zeros(2 * zero_log + 1, dtype=np.int32)
+        self.exp[:zero_log] = np.tile(np.array(F.exp_table, dtype=np.int32), 2)
+        self.inv = np.array(F._inv, dtype=np.int32)
+        self.neg = np.array(F._neg, dtype=np.int32)
+        if p == 2:
+            self.add = np.bitwise_xor
+        elif F.e == 1:
+            residue = np.arange(2 * p - 1, dtype=np.int32) % p
+            self.add = lambda x, y: residue[x + y]
+        else:
+            # 1 + g^k only changes the constant digit of g^k
+            g_k = self.exp[: q - 1]
+            one_plus = g_k - g_k % p + (g_k % p + 1) % p
+            # Z(k) for 0 <= k < q-1; the differences past q-1 arise when
+            # exactly one summand is zero, and Z = 0 there returns the other
+            zech = np.zeros(zero_log + 1, dtype=np.int32)
+            zech[: q - 1] = self.log[one_plus]
+            log, exp = self.log, self.exp
+
+            def add(x, y):
+                lx, ly = log[x], log[y]
+                lo = np.minimum(lx, ly)
+                return exp[lo + zech[np.maximum(lx, ly) - lo]]
+
+            self.add = add
+
+    def mul(self, x, y):
+        log = self.log
+        return self.exp[log[x] + log[y]]
 
 
 @lru_cache(maxsize=128)

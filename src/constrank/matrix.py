@@ -14,10 +14,12 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DimensionMismatch, ParseError, ShapeViolation
 from .field import FieldSpec, parse_field_descriptor
 
-__all__ = ["MatGF", "member_of_span", "parse_matrix"]
+__all__ = ["MatGF", "member_of_span", "parse_matrix", "rank_batch"]
 
 
 class MatGF:
@@ -303,13 +305,46 @@ def _reduce_vector(field: FieldSpec, w: list[int], rref_rows: list[list[int]],
 # elimination engines
 # ---------------------------------------------------------------------------
 
+def rank_batch(field: FieldSpec, codes: np.ndarray) -> np.ndarray:
+    """Ranks of a block of matrices, given as an (N, m, n) array of codes.
+
+    Gaussian elimination runs on all N matrices at once through the
+    field's O(q) arrays.  Each column step takes the first row with a
+    nonzero entry as pivot and subtracts multiples of it from every row,
+    itself included; the pivot row becomes zero and never pivots again,
+    so no row swaps or per-matrix bookkeeping are needed.  The shorter
+    side is eliminated, since rank is invariant under transposition.
+    """
+    A = np.asarray(codes)
+    if A.shape[2] > A.shape[1]:
+        A = A.transpose(0, 2, 1)
+    A = A.astype(np.int32, order="C")   # a copy; it is eliminated in place
+    N, _, cols = A.shape
+    ar = field.arrays
+    which = np.arange(N)
+    rank = np.zeros(N, dtype=np.intp)
+    for j in range(cols):
+        col = A[:, :, j]
+        piv = (col != 0).argmax(axis=1)
+        pv = col[which, piv]
+        rank += pv != 0
+        if j + 1 == cols:
+            break
+        # -col / pv for every row; all zero when the matrix has no pivot
+        factor = ar.mul(ar.neg[col], ar.inv[pv][:, None])
+        prow = A[which, piv, j + 1:]
+        rest = A[:, :, j + 1:]
+        rest[...] = ar.add(rest, ar.mul(factor[:, :, None], prow[:, None, :]))
+    return rank
+
+
 def _rank_rows(field: FieldSpec, rows: list[list[int]]) -> int:
     """Row-echelon rank; consumes the row lists."""
     if field.q == 2:
         return _rank_words_gf2([_pack_row_bits(r) for r in rows])
     if field._mul_flat is not None:
         return _rank_rows_table(field, rows)
-    return _rank_rows_slow(field, rows)
+    return int(rank_batch(field, np.array([rows]))[0])
 
 
 def _rank_rows_table(field: FieldSpec, rows: list[list[int]]) -> int:
@@ -340,34 +375,6 @@ def _rank_rows_table(field: FieldSpec, rows: list[list[int]]) -> int:
             if c:
                 cq = c * q
                 rows[i] = [sf[x * q + mf[cq + y]] for x, y in zip(ri, prow)]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _rank_rows_slow(field: FieldSpec, rows: list[list[int]]) -> int:
-    nrows = len(rows)
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = -1
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        s = field.inv(rows[rank][col])
-        if s != 1:
-            rows[rank] = [field.mul(s, x) for x in rows[rank]]
-        prow = rows[rank]
-        for i in range(rank + 1, nrows):
-            c = rows[i][col]
-            if c:
-                rows[i] = [field.sub(x, field.mul(c, y))
-                           for x, y in zip(rows[i], prow)]
         rank += 1
         if rank == nrows:
             break
@@ -444,13 +451,6 @@ def _rref_rows(field: FieldSpec, rows: list[list[int]]) -> list[int]:
 def _pack_row_bits(row: Sequence[int]) -> int:
     w = 0
     for x in row:
-        w = (w << 1) | x
-    return w
-
-
-def _pack_flat_bits(entries: Sequence[int]) -> int:
-    w = 0
-    for x in entries:
         w = (w << 1) | x
     return w
 

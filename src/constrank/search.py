@@ -20,6 +20,7 @@ other.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -407,7 +408,9 @@ def search_constant_rank(F: FieldSpec, m: int, n: int, r: int,
     reports the exact number of such subspaces (the witness returned is
     still the first in canonical order).  Worker splitting partitions the
     depth-1 candidates into contiguous chunks, each run in its own
-    process under a budget of ceil(budget / workers) nodes; chunks are
+    process under a budget of ceil(budget / workers) nodes; the worker
+    count is capped at the number of cores and of depth-1 candidates,
+    and the budget is split over the capped count; chunks are
     merged in order, so witnesses match the single-worker run.  When the
     scalar-class count of the ambient space exceeds the pool cap,
     candidates are streamed instead of pooled and the search runs in a
@@ -435,7 +438,7 @@ def search_constant_rank(F: FieldSpec, m: int, n: int, r: int,
         found_count = engine.found_count
     else:
         pool = _build_pool(F, m, n, r)
-        workers = min(workers, max(1, len(pool)))
+        workers = _worker_count(workers, len(pool))
         if workers == 1:
             engine = _make_engine(F, m, n, r, target_dim, pool, budget,
                                   count_all)
@@ -471,6 +474,11 @@ def search_constant_rank(F: FieldSpec, m: int, n: int, r: int,
         elapsed=time.perf_counter() - start,
         found_count=found_count,
     )
+
+
+def _worker_count(requested: int, pool_len: int) -> int:
+    """Processes to start: at most one per core and per depth-1 candidate."""
+    return max(1, min(requested, pool_len, os.cpu_count() or 1))
 
 
 def _run_chunked(F, m, n, r, target_dim, pool_len, budget, workers, count_all):

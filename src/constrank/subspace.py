@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import (
     BudgetExceeded,
     EmptyInput,
@@ -17,17 +19,16 @@ from .errors import (
     ShapeMismatch,
     ZeroSpan,
 )
-from .field import FieldSpec, parse_field_descriptor
+from .field import FieldArrays, FieldSpec, parse_field_descriptor
 from .matrix import (
     MatGF,
     _gf2_rank_table,
-    _pack_flat_bits,
+    _pack_row_bits,
     _parse_matrix_block,
     _rank_rows,
-    _rank_words_gf2,
     _rref_rows,
     _tokens_with_cols,
-    _unpack_words,
+    rank_batch,
 )
 
 __all__ = [
@@ -192,34 +193,56 @@ def parse_subspace(text: str) -> SubspaceBasis:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _iter_span_entries(S: SubspaceBasis) -> Iterator[tuple[int, ...]]:
-    """Flat entry tuples of all q^d span elements, in lexicographic order of
-    the coefficient vector (last coefficient fastest, zero element first)."""
+# Span elements are ranked in blocks that start small, so an early exit
+# stays cheap, and double up to a cap that bounds working memory.
+_BLOCK_START = 64
+_BLOCK_CAP = 2048
+
+
+def _check_budget(S: SubspaceBasis, budget: int) -> None:
+    total = S.field.q ** S.d
+    if total > budget:
+        raise BudgetExceeded(
+            f"span has {total} elements, enumeration budget is {budget}"
+        )
+
+
+def _combinations(ar: FieldArrays, basis: list[np.ndarray], q: int, lo: int,
+                  hi: int) -> np.ndarray:
+    """Flat codes of the span elements with indices lo..hi-1.
+
+    Element k has coefficient vector the base-q digits of k, first basis
+    coefficient most significant, so increasing k walks the coefficient
+    vectors in lexicographic order (last coefficient fastest, zero
+    element at index 0).  Element k is element k // q of the span of all
+    but the last basis matrix plus (k % q) times the last one, and the
+    prefixes are computed once each.
+    """
+    k = np.arange(lo, hi)
+    term = ar.mul((k % q)[:, None], basis[-1][None, :])
+    if len(basis) == 1:
+        return term
+    head = k // q
+    prefix = _combinations(ar, basis[:-1], q, head[0], head[-1] + 1)
+    return ar.add(prefix[head - head[0]], term)
+
+
+def _span_blocks(S: SubspaceBasis, start: int = 0) -> Iterator[np.ndarray]:
+    """Span elements from index start on, as (N, m, n) blocks of codes."""
     F = S.field
-    q = F.q
-    d = S.d
-    add = F._add_flat
-    scaled = [[B.scale(c).entries for c in range(q)] for B in S.basis]
-    coeffs = [0] * d
-    partial = [(0,) * (S.m * S.n)] * (d + 1)
-    yield partial[d]
-    while True:
-        i = d - 1
-        while i >= 0 and coeffs[i] == q - 1:
-            coeffs[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        coeffs[i] += 1
-        base = partial[i]
-        srow = scaled[i][coeffs[i]]
-        if add is not None:
-            new = tuple(add[a * q + b] for a, b in zip(base, srow))
-        else:
-            new = tuple(F.add(a, b) for a, b in zip(base, srow))
-        for j in range(i + 1, d + 1):
-            partial[j] = new
-        yield new
+    basis = [np.array(B.entries, dtype=np.int32) for B in S.basis]
+    total = F.q ** S.d
+    size = _BLOCK_START
+    lo = start
+    while lo < total:
+        hi = min(lo + size, total)
+        yield _combinations(F.arrays, basis, F.q, lo, hi).reshape(-1, S.m, S.n)
+        lo = hi
+        size = min(2 * size, _BLOCK_CAP)
+
+
+def _matrix_of(S: SubspaceBasis, codes: np.ndarray) -> MatGF:
+    return MatGF(S.field, S.m, S.n, codes.ravel().tolist())
 
 
 def enumerate_elements(S: SubspaceBasis, *,
@@ -228,18 +251,20 @@ def enumerate_elements(S: SubspaceBasis, *,
     """All q^d elements of the span as matrices, zero first, in coefficient
     lexicographic order.  Raises BudgetExceeded before yielding anything if
     the span is larger than budget."""
-    total = S.field.q ** S.d
-    if total > budget:
-        raise BudgetExceeded(
-            f"span has {total} elements, enumeration budget is {budget}"
-        )
+    _check_budget(S, budget)
 
     def gen() -> Iterator[MatGF]:
-        F, m, n = S.field, S.m, S.n
-        for ent in _iter_span_entries(S):
-            yield MatGF(F, m, n, ent)
+        for block in _span_blocks(S):
+            for codes in block:
+                yield _matrix_of(S, codes)
 
     return gen()
+
+
+def _ranked_blocks(S: SubspaceBasis) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(codes, ranks) blocks of the non-zero span elements, in order."""
+    for block in _span_blocks(S, 1):
+        yield block, rank_batch(S.field, block)
 
 
 # ---------------------------------------------------------------------------
@@ -265,37 +290,30 @@ class RankProfile:
         return hit[0] if len(hit) == 1 else None
 
 
+def _gf2_packed(S: SubspaceBasis) -> bool:
+    """Whether the span is walked as packed GF(2) codes with a rank table."""
+    return S.field.q == 2 and S.m * S.n <= 16
+
+
 def rank_profile(S: SubspaceBasis, *,
                  budget: int = DEFAULT_ENUMERATION_BUDGET) -> RankProfile:
     """Count span elements by rank (the zero element is skipped)."""
-    F = S.field
-    q, d, m, n = F.q, S.d, S.m, S.n
-    total = q ** d
-    if total > budget:
-        raise BudgetExceeded(
-            f"span has {total} elements, enumeration budget is {budget}"
-        )
+    q, d, m, n = S.field.q, S.d, S.m, S.n
+    _check_budget(S, budget)
     counts = [0] * (min(m, n) + 1)
-    if q == 2:
-        packed = [_pack_flat_bits(B.entries) for B in S.basis]
-        mn = m * n
+    if _gf2_packed(S):
+        # Gray traversal: one XOR per element, table lookup for the rank.
+        packed = [_pack_row_bits(B.entries) for B in S.basis]
+        table = _gf2_rank_table(m, n)
         cur = 0
-        if mn <= 16:
-            # Gray traversal: one XOR per element, table lookup for the rank.
-            table = _gf2_rank_table(m, n)
-            for k in range(1, 1 << d):
-                cur ^= packed[(k & -k).bit_length() - 1]
-                counts[table[cur]] += 1
-        else:
-            for k in range(1, 1 << d):
-                cur ^= packed[(k & -k).bit_length() - 1]
-                counts[_rank_words_gf2(_unpack_words(cur, m, n))] += 1
+        for k in range(1, 1 << d):
+            cur ^= packed[(k & -k).bit_length() - 1]
+            counts[table[cur]] += 1
     else:
-        it = _iter_span_entries(S)
-        next(it)
-        for ent in it:
-            rows = [list(ent[i * n: (i + 1) * n]) for i in range(m)]
-            counts[_rank_rows(F, rows)] += 1
+        tally = np.zeros(len(counts), dtype=np.int64)
+        for _, ranks in _ranked_blocks(S):
+            tally += np.bincount(ranks, minlength=len(counts))
+        counts = tally.tolist()
     return RankProfile(q, d, (m, n), tuple(counts))
 
 
@@ -308,37 +326,27 @@ def is_constant_rank(S: SubspaceBasis, r: int, *,
     lexicographic order, so the witness is stable across runs.
     """
     F = S.field
-    q, d, m, n = F.q, S.d, S.m, S.n
+    d, m, n = S.d, S.m, S.n
     if not 1 <= r <= min(m, n):
         raise ValueError(f"target rank {r} outside 1..{min(m, n)}")
-    total = q ** d
-    if total > budget:
-        raise BudgetExceeded(
-            f"span has {total} elements, enumeration budget is {budget}"
-        )
-    if q == 2:
+    _check_budget(S, budget)
+    if _gf2_packed(S):
         mn = m * n
         # counter bit b holds coefficient d-1-b, so counting up walks the
         # coefficient vectors in lexicographic order
-        word = [_pack_flat_bits(S.basis[d - 1 - b].entries) for b in range(d)]
-        table = _gf2_rank_table(m, n) if mn <= 16 else None
+        word = [_pack_row_bits(S.basis[d - 1 - b].entries) for b in range(d)]
+        table = _gf2_rank_table(m, n)
         cur = 0
         for k in range(1, 1 << d):
             low = (k & -k).bit_length() - 1
             for b in range(low + 1):
                 cur ^= word[b]
-            if table is not None:
-                rk = table[cur]
-            else:
-                rk = _rank_words_gf2(_unpack_words(cur, m, n))
-            if rk != r:
+            if table[cur] != r:
                 ent = tuple((cur >> (mn - 1 - t)) & 1 for t in range(mn))
                 return False, MatGF(F, m, n, ent)
         return True, None
-    it = _iter_span_entries(S)
-    next(it)
-    for ent in it:
-        rows = [list(ent[i * n: (i + 1) * n]) for i in range(m)]
-        if _rank_rows(F, rows) != r:
-            return False, MatGF(F, m, n, ent)
+    for block, ranks in _ranked_blocks(S):
+        bad = ranks != r
+        if bad.any():
+            return False, _matrix_of(S, block[bad.argmax()])
     return True, None

@@ -9,7 +9,14 @@ import sys
 
 import pytest
 
-from constrank import MatGF, make_field, make_subspace, parse_subspace
+import constrank.cli as cli_mod
+from constrank import (
+    InternalVerificationFailed,
+    MatGF,
+    make_field,
+    make_subspace,
+    parse_subspace,
+)
 from constrank.cli import main
 from conftest import mat
 
@@ -150,6 +157,28 @@ def test_parse_error_names_file_line_column(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert f"{target}:5:3:" in captured.err
+
+
+def test_non_ascii_input_names_line_and_column(tmp_path, capsys):
+    target = tmp_path / "accent.txt"
+    target.write_bytes(b"1 2 2 GF(2)\n\n2 2 GF(2)\n1 0\n0 \xc3\xa9\n")
+    code = main(["verify", "--input", str(target), "--rank", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"{target}:5:3: non-ASCII byte 0xc3")
+
+
+def test_library_defect_is_exit_four(monkeypatch, capsys):
+    def broken(config):
+        raise InternalVerificationFailed("self-check failed")
+
+    monkeypatch.setitem(cli_mod._HANDLERS, "construct", broken)
+    code = main(["construct", "--field", "GF(2)", "--shape", "2x2",
+                 "--rank", "1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "internal error" in captured.err
+    assert "self-check failed" in captured.err
 
 
 def test_missing_input_file(tmp_path, capsys):

@@ -1,0 +1,320 @@
+"""The batched span-rank kernel against per-element scalar references.
+
+The references go only through the field's scalar methods (add, sub, mul,
+inv) and itertools, so they share no table, array or block code with the
+kernel.  Every case is seeded.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import os
+import random
+
+import numpy as np
+import pytest
+
+from constrank import (
+    MatGF,
+    SubspaceBasis,
+    check_image_of_kernel,
+    is_constant_rank,
+    make_field,
+    make_subspace,
+    parse_subspace,
+    rank_profile,
+    regular_representation,
+)
+from constrank.matrix import rank_batch
+from constrank.subspace import _BLOCK_CAP, _BLOCK_START
+
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (251, 1),
+          (2, 8), (257, 1), (2, 9), (3, 6)]
+
+
+def _field_id(pe) -> str:
+    return f"GF({pe[0]})" if pe[1] == 1 else f"GF({pe[0]}^{pe[1]})"
+
+
+def _ref_rank(F, rows) -> int:
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        s = F.inv(rows[rank][c])
+        rows[rank] = [F.mul(s, x) for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _ref_elements(S):
+    """(index, entries) of every span element in coefficient-lex order."""
+    F = S.field
+    for k, coeffs in enumerate(itertools.product(range(F.q), repeat=S.d)):
+        acc = [0] * (S.m * S.n)
+        for c, B in zip(coeffs, S.basis):
+            acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, B.entries)]
+        yield k, tuple(acc)
+
+
+def _ref_matrix_rank(S, entries) -> int:
+    n = S.n
+    return _ref_rank(S.field, [entries[i * n:(i + 1) * n] for i in range(S.m)])
+
+
+def _ref_first_offender(S, r):
+    for k, ent in _ref_elements(S):
+        if k and _ref_matrix_rank(S, ent) != r:
+            return k, ent
+    return None
+
+
+def _random_matrix(F, m, n, rng):
+    """A zero, random or rank-deficient m-by-n code array."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return [[0] * n for _ in range(m)]
+    rows = [[rng.randrange(F.q) for _ in range(n)] for _ in range(m)]
+    if kind == 2 and m > 1:
+        keep = rng.randrange(1, m)
+        for i in range(keep, m):
+            coeffs = [rng.randrange(F.q) for _ in range(keep)]
+            row = [0] * n
+            for c, src in zip(coeffs, rows[:keep]):
+                row = [F.add(x, F.mul(c, y)) for x, y in zip(row, src)]
+            rows[i] = row
+        rng.shuffle(rows)
+    return rows
+
+
+def _random_span(F, m, n, d, rng):
+    while True:
+        mats = [MatGF(F, m, n, [rng.randrange(F.q) for _ in range(m * n)])
+                for _ in range(d)]
+        S = make_subspace(mats)
+        if S.d == d:
+            return S
+
+
+@pytest.mark.parametrize("pe", FIELDS, ids=_field_id)
+def test_rank_batch_matches_scalar_elimination(pe):
+    F = make_field(*pe)
+    rng = random.Random(f"rank_batch:{pe}")
+    for m in range(1, 5):
+        for n in range(1, 5):
+            block = [_random_matrix(F, m, n, rng) for _ in range(12)]
+            got = rank_batch(F, np.array(block))
+            assert got.tolist() == [_ref_rank(F, rows) for rows in block], (m, n)
+
+
+@pytest.mark.parametrize("pe", FIELDS, ids=_field_id)
+def test_field_arrays_match_scalar_arithmetic(pe):
+    F = make_field(*pe)
+    rng = random.Random(f"arrays:{pe}")
+    x = [rng.randrange(F.q) for _ in range(300)] + [0, 0, 1]
+    y = [rng.randrange(F.q) for _ in range(300)] + [0, 5 % F.q, 0]
+    ar = F.arrays
+    assert ar.add(np.array(x), np.array(y)).tolist() == \
+        [F.add(a, b) for a, b in zip(x, y)]
+    assert ar.mul(np.array(x), np.array(y)).tolist() == \
+        [F.mul(a, b) for a, b in zip(x, y)]
+    assert ar.add(np.array(x), ar.neg[np.array(x)]).tolist() == [0] * len(x)
+
+
+@pytest.mark.parametrize("pe", FIELDS, ids=_field_id)
+def test_span_statistics_match_per_element_reference(pe):
+    F = make_field(*pe)
+    rng = random.Random(f"spans:{pe}")
+    d_max = 1 if F.q > 16 else (2 if F.q > 4 else 3)
+    for _ in range(2):
+        m, n = rng.randrange(1, 4), rng.randrange(1, 4)
+        S = _random_span(F, m, n, rng.randrange(1, min(d_max, m * n) + 1), rng)
+        counts = [0] * (min(m, n) + 1)
+        for k, ent in _ref_elements(S):
+            if k:
+                counts[_ref_matrix_rank(S, ent)] += 1
+        assert rank_profile(S).counts == tuple(counts)
+        for r in range(1, min(m, n) + 1):
+            ok, witness = is_constant_rank(S, r)
+            ref = _ref_first_offender(S, r)
+            assert ok == (ref is None)
+            assert (witness is None) == ok
+            if witness is not None:
+                assert witness.entries == ref[1]
+
+
+# ---------------------------------------------------------------------------
+# witnesses at block boundaries
+# ---------------------------------------------------------------------------
+
+def _block_starts(total: int) -> list[int]:
+    starts, size, lo = [], _BLOCK_START, 1
+    while lo < total:
+        starts.append(lo)
+        lo += size
+        size = min(2 * size, _BLOCK_CAP)
+    return starts
+
+
+def _perturbed_span(F, d, target, rng):
+    """A seeded 2-by-(2d-1) span whose only rank-1 elements are the
+    multiples of the element at index target; all others have rank 2.
+
+    Element c is [c | 0 ; c | pi(c)] with pi a map onto F^(d-1) whose
+    kernel is spanned by the coefficient vector of target, followed by
+    random invertible row and column operations.
+    """
+    q = F.q
+    star = [(target // q ** (d - 1 - i)) % q for i in range(d)]
+    lead = next(i for i, c in enumerate(star) if c)
+    # pi(e_i) = e_i for i != lead; pi(e_lead) solves pi(star) = 0
+    inv_lead = F.inv(star[lead])
+    pi_cols = []
+    for i in range(d):
+        if i == lead:
+            pi_cols.append([F.neg(F.mul(inv_lead, star[j])) if j != lead else 0
+                            for j in range(d)])
+        else:
+            pi_cols.append([1 if j == i else 0 for j in range(d)])
+    width = 2 * d - 1
+    rows_p = _random_invertible(F, 2, rng)
+    cols_q = _random_invertible(F, width, rng)
+    basis = []
+    for i in range(d):
+        top = [1 if j == i else 0 for j in range(d)] + [0] * (d - 1)
+        tail = [x for j, x in enumerate(pi_cols[i]) if j != lead]
+        bottom = [1 if j == i else 0 for j in range(d)] + tail
+        M = MatGF(F, 2, width, top + bottom)
+        P = MatGF(F, 2, 2, [x for row in rows_p for x in row])
+        Q = MatGF(F, width, width, [x for row in cols_q for x in row])
+        basis.append(P @ M @ Q)
+    return SubspaceBasis(basis)
+
+
+def _random_invertible(F, k, rng):
+    while True:
+        rows = [[rng.randrange(F.q) for _ in range(k)] for _ in range(k)]
+        if _ref_rank(F, rows) == k:
+            return rows
+
+
+@pytest.mark.parametrize("pe,d", [((2, 1), 8), ((2, 3), 3)],
+                         ids=["GF(2)", "GF(2^3)"])
+def test_witness_is_first_offender_at_block_boundaries(pe, d):
+    F = make_field(*pe)
+    total = F.q ** d
+    starts = _block_starts(total)
+    targets = {"first": 1, "end of first block": starts[1] - 1,
+               "start of second block": starts[1]}
+    if F.q == 2:
+        # every GF(2) coefficient vector leads with 1, so any index can be
+        # a first offender; pick one inside the final, shorter block
+        assert total - starts[-1] < min(_BLOCK_START << (len(starts) - 1),
+                                        _BLOCK_CAP)
+        targets["final partial block"] = (starts[-1] + total) // 2
+    rng = random.Random(f"boundary:{pe}")
+    for where, target in targets.items():
+        S = _perturbed_span(F, d, target, rng)
+        assert F.q > 2 or S.m * S.n > 16   # not the packed GF(2) walk
+        ok, witness = is_constant_rank(S, 2)
+        index, ref = _ref_first_offender(S, 2)
+        assert index == target, where
+        assert not ok and witness.entries == ref, where
+
+
+# ---------------------------------------------------------------------------
+# image containment reports recorded before the kernel existed
+# ---------------------------------------------------------------------------
+
+def _report(rep):
+    return (rep.max_rank, rep.elements_checked, rep.triples_checked,
+            [tuple(x.entries for x in v) for v in rep.violations])
+
+
+def _gf2_counterexample():
+    with open(os.path.join(_DATA, "m3_gf2_rank2_dim4.txt")) as fh:
+        return parse_subspace(fh.read())
+
+
+def test_image_of_kernel_golden_gf2_counterexample():
+    rep = check_image_of_kernel(_gf2_counterexample())
+    max_rank, elements, triples, violations = _report(rep)
+    assert (max_rank, elements, triples, rep.sampled) == (2, 15, 60, False)
+    assert len(violations) == 32
+    assert violations[:3] == [
+        ((1, 0, 0, 0, 0, 0, 0, 1, 0), (0, 0, 1), (0, 0, 0, 0, 0, 1, 0, 1, 0)),
+        ((0, 0, 1, 0, 0, 0, 1, 0, 0), (0, 1, 0), (0, 0, 0, 0, 1, 0, 1, 0, 0)),
+        ((1, 0, 1, 0, 0, 0, 1, 1, 0), (1, 1, 1), (0, 0, 0, 0, 0, 1, 0, 1, 0)),
+    ]
+    assert violations[-1] == (
+        (1, 0, 1, 0, 1, 1, 0, 0, 0), (1, 1, 1), (1, 0, 0, 0, 0, 0, 0, 1, 0))
+
+
+def test_image_of_kernel_golden_gf2_sample():
+    rep = check_image_of_kernel(_gf2_counterexample(), sample=4, seed=7)
+    max_rank, elements, triples, violations = _report(rep)
+    assert (max_rank, elements, triples, rep.sampled) == (2, 4, 16, True)
+    assert [v[0] for v in violations] == [
+        (1, 0, 1, 0, 0, 0, 1, 1, 0), (1, 0, 1, 0, 0, 0, 1, 1, 0),
+        (0, 0, 1, 0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 1, 0, 0, 0, 0),
+        (1, 0, 1, 0, 1, 0, 0, 1, 0), (1, 0, 1, 0, 1, 0, 0, 1, 0),
+        (1, 0, 1, 0, 1, 0, 0, 1, 0), (1, 0, 1, 0, 0, 1, 1, 0, 0),
+        (1, 0, 1, 0, 0, 1, 1, 0, 0), (1, 0, 1, 0, 0, 1, 1, 0, 0),
+    ]
+
+
+@pytest.mark.parametrize("pe,basis,sample,seed,expected", [
+    ((2, 2), [(1, 0, 0, 1, 1, 0, 0, 0, 0), (0, 1, 0, 1, 3, 3, 0, 0, 0),
+              (0, 0, 1, 2, 3, 0, 0, 0, 0)], 5, 3, (2, 5, 15, [])),
+    ((257, 1), [(1, 0, 92, 163, 46, 38, 0, 0, 0),
+                (0, 1, 44, 55, 159, 83, 0, 0, 0)], 4, 11, (2, 4, 8, [])),
+], ids=["GF(4)", "GF(257)"])
+def test_image_of_kernel_golden_sampled(pe, basis, sample, seed, expected):
+    F = make_field(*pe)
+    S = make_subspace([MatGF(F, 3, 3, b) for b in basis])
+    rep = check_image_of_kernel(S, sample=sample, seed=seed)
+    assert rep.sampled
+    assert _report(rep) == expected
+
+
+def _block_diagonal(X, Y):
+    F, a, b = X.field, X.n, Y.n
+    n = a + b
+    ent = [0] * (n * n)
+    for i in range(a):
+        ent[i * n: i * n + a] = X.entries[i * a:(i + 1) * a]
+    for i in range(b):
+        ent[(a + i) * n + a:(a + i + 1) * n] = Y.entries[i * b:(i + 1) * b]
+    return MatGF(F, n, n, ent)
+
+
+@pytest.mark.parametrize("sample,expected", [
+    (None, (5, 105, 735, False, 224,
+            "d624e3ae18c26d217bc320a6fa60479b4dbd9665")),
+    (20, (5, 20, 140, True, 44, "8519cf2cc210e7ec73e25865fd7e6b1e36b7b4d2")),
+], ids=["full", "sample"])
+def test_image_of_kernel_golden_across_blocks(sample, expected):
+    # diag(X, Y): X from the GF(2) counterexample, Y from GF(8) acting on
+    # itself; the 105 maximal-rank elements fill two blocks, and the
+    # violations show which of them were examined
+    X = _gf2_counterexample()
+    Y = regular_representation(X.field, 3)
+    zero = MatGF.zero(X.field, 3, 3)
+    S = SubspaceBasis([_block_diagonal(B, zero) for B in X.basis]
+                      + [_block_diagonal(zero, B) for B in Y.basis])
+    assert 105 > _BLOCK_START
+    rep = check_image_of_kernel(S, sample=sample, seed=9)
+    max_rank, elements, triples, violations = _report(rep)
+    digest = hashlib.sha1(repr(violations).encode()).hexdigest()
+    assert (max_rank, elements, triples, rep.sampled, len(violations),
+            digest) == expected

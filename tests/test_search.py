@@ -142,6 +142,18 @@ def test_workers_do_not_change_the_answer(gf2, gf3):
     assert a.nodes_explored == b.nodes_explored
 
 
+def test_worker_count_is_capped_at_cores(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert search_mod._worker_count(8, 100) == 2
+    assert search_mod._worker_count(1, 100) == 1
+    assert search_mod._worker_count(8, 0) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    assert search_mod._worker_count(8, 100) == 8
+    assert search_mod._worker_count(8, 3) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert search_mod._worker_count(8, 100) == 1
+
+
 def test_streamed_pool_matches_in_memory_pool(gf2, gf3, monkeypatch):
     pooled_found = search_constant_rank(gf2, 3, 3, 2, 4)
     pooled_count = search_constant_rank(gf3, 2, 2, 2, 2, count_all=True)
