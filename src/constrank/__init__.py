@@ -24,6 +24,7 @@ from .errors import (
     ReducibleModulus,
     ShapeMismatch,
     ShapeViolation,
+    UsageError,
     ZeroSpan,
     ZeroVector,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "ShapeMismatch",
     "ShapeViolation",
     "SubspaceBasis",
+    "UsageError",
     "ZeroSpan",
     "ZeroVector",
     "brute_force_census",

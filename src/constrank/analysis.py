@@ -20,7 +20,6 @@ per scalar class, since dim K_u is unchanged by scaling u.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +31,10 @@ from .errors import (
     ShapeViolation,
     ZeroVector,
 )
-from .field import FieldSpec
-from .matrix import MatGF, _rank_rows, _reduce_vector, _rref_rows
+from .field import FieldArrays, FieldSpec
+from .matrix import MatGF, _kernel_batch, rank_batch
 from .subspace import (
+    _BLOCK_CAP,
     DEFAULT_ENUMERATION_BUDGET,
     SubspaceBasis,
     _check_budget,
@@ -98,9 +98,8 @@ def kernel_slice(S: SubspaceBasis, u: MatGF) -> KernelSlice:
         raise ZeroVector("kernel slices are defined for nonzero u")
     F = S.field
     n, d = S.n, S.d
-    cols = [_matvec(F, B.entries, n, n, u.entries) for B in S.basis]
-    flat = [cols[j][i] for i in range(n) for j in range(d)]
-    W = MatGF(F, n, d, flat)
+    evaluation = _evaluations(S, np.array([u.entries]))[0]
+    W = MatGF(F, n, d, evaluation.ravel().tolist())
     coeff_vectors = W.kernel_basis()
     slice_basis = []
     for c in coeff_vectors:
@@ -117,48 +116,32 @@ def kernel_slice(S: SubspaceBasis, u: MatGF) -> KernelSlice:
     )
 
 
-def _matvec(field: FieldSpec, entries: tuple[int, ...], m: int, n: int,
-            u: tuple[int, ...]) -> list[int]:
-    """Product of an m-by-n entry tuple with a length-n vector."""
-    q = field.q
-    mf = field._mul_flat
-    out = []
-    if mf is not None:
-        af = field._add_flat
-        for i in range(m):
-            base = i * n
-            acc = 0
-            for t in range(n):
-                x = entries[base + t]
-                if x and u[t]:
-                    acc = af[acc * q + mf[x * q + u[t]]]
-            out.append(acc)
-    else:
-        for i in range(m):
-            base = i * n
-            acc = 0
-            for t in range(n):
-                x = entries[base + t]
-                if x and u[t]:
-                    acc = field.add(acc, field.mul(x, u[t]))
-            out.append(acc)
-    return out
+def _field_matmul(ar: FieldArrays, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Product of code arrays X (..., a, t) and Y (..., t, b) over the
+    field, broadcast over the leading axes."""
+    acc = ar.mul(X[..., :, :1], Y[..., :1, :])
+    for t in range(1, X.shape[-1]):
+        acc = ar.add(acc, ar.mul(X[..., :, t:t + 1], Y[..., t:t + 1, :]))
+    return acc
 
 
-def _slice_dim(S: SubspaceBasis, u: tuple[int, ...]) -> int:
-    """dim {A in span : Au = 0}, without materializing a basis."""
-    F = S.field
+def _basis_codes(S: SubspaceBasis) -> np.ndarray:
+    return np.array([B.entries for B in S.basis], dtype=np.int32).reshape(
+        S.d, S.m, S.n)
+
+
+def _evaluations(S: SubspaceBasis, U: np.ndarray) -> np.ndarray:
+    """(P, n, d) evaluation matrices of P vectors: column j of entry p is
+    B_j u_p."""
     n, d = S.n, S.d
-    rows = [[0] * d for _ in range(n)]
-    for j, B in enumerate(S.basis):
-        col = _matvec(F, B.entries, n, n, u)
-        for i in range(n):
-            rows[i][j] = col[i]
-    return d - _rank_rows(F, rows)
+    # row i * d + j of the stacked basis is row i of B_j
+    stacked = _basis_codes(S).transpose(1, 0, 2).reshape(n * d, n)
+    return _field_matmul(S.field.arrays, U, stacked.T).reshape(-1, n, d)
 
 
-def _projective_vectors(field: FieldSpec, n: int):
-    """One representative per scalar class of nonzero vectors in F^n.
+def _projective_blocks(field: FieldSpec, n: int):
+    """One representative per scalar class of nonzero vectors in F^n, as
+    (P, n) blocks of at most _BLOCK_CAP vectors.
 
     Each representative has first nonzero entry 1, which makes it the
     lexicographically least member of its class; the stream itself is
@@ -166,9 +149,21 @@ def _projective_vectors(field: FieldSpec, n: int):
     """
     q = field.q
     for lead in range(n - 1, -1, -1):
-        prefix = (0,) * lead + (1,)
-        for tail in itertools.product(range(q), repeat=n - 1 - lead):
-            yield prefix + tail
+        width = n - 1 - lead
+        total = q ** width
+        for lo in range(0, total, _BLOCK_CAP):
+            k = np.arange(lo, min(lo + _BLOCK_CAP, total))
+            U = np.zeros((len(k), n), dtype=np.int32)
+            U[:, lead] = 1
+            for t in range(width):
+                U[:, n - 1 - t] = (k // q ** t) % q
+            yield U
+
+
+def _slice_dims(S: SubspaceBasis):
+    """(vectors, dim K_u) blocks over the projective vectors, in order."""
+    for U in _projective_blocks(S.field, S.n):
+        yield U, S.d - rank_batch(S.field, _evaluations(S, U))
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +224,10 @@ def check_image_of_kernel(S: SubspaceBasis, *, sample: int | None = None,
     else:
         chosen = None
 
+    ar = F.arrays
+    basis = _basis_codes(S)
     violations: list[tuple[MatGF, MatGF, MatGF]] = []
     elements_checked = 0
-    triples_checked = 0
     seen = 0
     for block, ranks in _ranked_blocks(S):
         hit = np.flatnonzero(ranks == max_rank)
@@ -239,26 +235,25 @@ def check_image_of_kernel(S: SubspaceBasis, *, sample: int | None = None,
             ordinals = np.arange(seen, seen + len(hit))
             seen += len(hit)
             hit = hit[np.isin(ordinals, chosen)]
-        for pos in hit:
-            A = _matrix_of(S, block[pos])
-            kernel = A.kernel_basis()
-            if not kernel:
-                elements_checked += 1
-                continue
-            image_rows = A.transpose().rows_as_lists()
-            image_pivots = _rref_rows(F, image_rows)
-            for u in kernel:
-                for B in S.basis:
-                    w = _matvec(F, B.entries, n, n, u.entries)
-                    _reduce_vector(F, w, image_rows, image_pivots)
-                    triples_checked += 1
-                    if any(w):
-                        violations.append((A, u, B))
-            elements_checked += 1
+        elements_checked += len(hit)
+        if max_rank == n or not len(hit):
+            continue
+        A = block[hit]
+        K = _kernel_batch(F, A)
+        # the columns of L span the left kernel of A, so Bu lies in im(A)
+        # exactly when L^T B u = 0; bad[e, t, j] flags (A_e, u_t, B_j)
+        L = _kernel_batch(F, A.transpose(0, 2, 1))
+        LBK = _field_matmul(ar, L.transpose(0, 2, 1)[:, None],
+                            _field_matmul(ar, basis[None], K[:, None]))
+        bad = (LBK != 0).any(axis=2).transpose(0, 2, 1)
+        for e, t, j in np.argwhere(bad).tolist():
+            violations.append((_matrix_of(S, A[e]),
+                               MatGF(F, n, 1, K[e, :, t].tolist()),
+                               S.basis[j]))
     return ImageOfKernelReport(
         max_rank=max_rank,
         elements_checked=elements_checked,
-        triples_checked=triples_checked,
+        triples_checked=elements_checked * (n - max_rank) * S.d,
         sampled=sampled,
         violations=tuple(violations),
     )
@@ -306,13 +301,10 @@ def check_kernel_bound(S: SubspaceBasis, *,
     q, n, d = F.q, S.n, S.d
     bound = n + 1 - r
     min_r_u = d + 1
-    min_u: tuple[int, ...] | None = None
-    for u in _projective_vectors(F, n):
-        ru = _slice_dim(S, u)
-        if ru < min_r_u:
-            min_r_u = ru
-            min_u = u
-    assert min_u is not None
+    for U, r_u in _slice_dims(S):
+        k = int(r_u.argmin())
+        if r_u[k] < min_r_u:
+            min_r_u, min_u = int(r_u[k]), U[k].tolist()
     return KernelBoundReport(
         q=q,
         n=n,
@@ -378,13 +370,13 @@ def counting_report(S: SubspaceBasis, *,
         )
     q, n, d = F.q, S.n, S.d
     omega_by_elements = (q ** d - 1) * (q ** (n - r) - 1)
-    omega_by_vectors = 0
-    min_r_u = d + 1
-    for u in _projective_vectors(F, n):
-        ru = _slice_dim(S, u)
-        omega_by_vectors += (q - 1) * (q ** ru - 1)
-        if ru < min_r_u:
-            min_r_u = ru
+    tally = np.zeros(d + 1, dtype=np.int64)
+    for _, r_u in _slice_dims(S):
+        tally += np.bincount(r_u, minlength=d + 1)
+    vectors_by_r_u = tally.tolist()
+    omega_by_vectors = sum((q - 1) * (q ** ru - 1) * count
+                           for ru, count in enumerate(vectors_by_r_u))
+    min_r_u = next(ru for ru, count in enumerate(vectors_by_r_u) if count)
     if omega_by_elements != omega_by_vectors:
         raise InternalVerificationFailed(
             f"pair count mismatch: by elements {omega_by_elements}, "

@@ -3,7 +3,8 @@
 Exit codes: 0 success (including a certified exhausted search), 1 when a
 checked property fails (not constant rank, containment violated), 2 for
 usage and parse problems, 3 when a budget is exceeded, 4 when a library
-self-check fails (a defect in this package, not in the input).
+self-check fails or any other unexpected exception escapes (a defect in
+this package, not in the input).
 
 Reports are key=value lines under a schema=1 header (or one JSON object
 with --json).  construct and search write their subspace artifact to
@@ -465,15 +466,13 @@ def main(argv=None) -> int:
         print(f"internal error (a defect in constrank): {exc}",
               file=sys.stderr)
         return 4
-    except ConstrankError as exc:
+    except (ConstrankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"internal error (a defect in constrank): "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
     text = render_report(report, config.json_output)
     if config.command in ("construct", "search") and not config.use_oracle:

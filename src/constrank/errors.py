@@ -18,6 +18,7 @@ __all__ = [
     "NotConstantRank",
     "InternalVerificationFailed",
     "ParseError",
+    "UsageError",
 ]
 
 
@@ -75,6 +76,10 @@ class NotConstantRank(ConstrankError):
 
 class InternalVerificationFailed(ConstrankError):
     """A construction-time self-check failed; this indicates a library bug."""
+
+
+class UsageError(ConstrankError, ValueError):
+    """An argument is outside the range an operation accepts."""
 
 
 class ParseError(ConstrankError):

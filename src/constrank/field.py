@@ -28,6 +28,7 @@ from .errors import (
     OrderTooLarge,
     ParseError,
     ReducibleModulus,
+    UsageError,
 )
 
 __all__ = ["MAX_ORDER", "FieldSpec", "make_field", "parse_field_descriptor"]
@@ -136,7 +137,7 @@ class FieldSpec:
         if not isinstance(p, int) or not _is_prime(p):
             raise NonPrimeCharacteristic(f"characteristic {p!r} is not prime")
         if not isinstance(e, int) or e < 1:
-            raise ValueError(f"extension degree must be a positive integer, got {e!r}")
+            raise UsageError(f"extension degree must be a positive integer, got {e!r}")
         q = p ** e
         if q > MAX_ORDER:
             raise OrderTooLarge(f"field order {q} exceeds the cap {MAX_ORDER}")
@@ -145,7 +146,7 @@ class FieldSpec:
         self.q = q
         if e == 1:
             if modulus:
-                raise ValueError("prime fields take no modulus")
+                raise UsageError("prime fields take no modulus")
             self.modulus = ()
         else:
             base = make_field(p)
@@ -296,9 +297,14 @@ class FieldSpec:
             ("zero annihilates", bool((m[0] == 0).all())),
             ("addition commutes", bool((a == a.T).all())),
             ("multiplication commutes", bool((m == m.T).all())),
-            ("addition associates", bool((a[a] == a[:, a]).all())),
-            ("multiplication associates", bool((m[m] == m[:, m]).all())),
-            ("distributivity", bool((m[:, a] == a[m[:, :, None], m[:, None, :]]).all())),
+            # one first operand x at a time, so memory stays O(q^2)
+            ("addition associates",
+             all((a[a[x]] == a[x][a]).all() for x in range(q))),
+            ("multiplication associates",
+             all((m[m[x]] == m[x][m]).all() for x in range(q))),
+            ("distributivity",
+             all((m[x][a] == a[m[x][:, None], m[x][None, :]]).all()
+                 for x in range(q))),
             ("inverses exist", bool((m[1:] == 1).any(axis=1).all())),
             ("exp/log consistent",
              all(self.exp_table[self.log_table[x]] == x for x in range(1, q))),

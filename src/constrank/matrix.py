@@ -16,10 +16,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, ShapeViolation
+from .errors import DimensionMismatch, ParseError, ShapeViolation, UsageError
 from .field import FieldSpec, parse_field_descriptor
 
-__all__ = ["MatGF", "member_of_span", "parse_matrix", "rank_batch"]
+__all__ = ["MatGF", "member_of_span", "parse_matrix", "rank_batch", "rref_batch"]
 
 
 class MatGF:
@@ -38,7 +38,7 @@ class MatGF:
         q = field.q
         for x in entries:
             if not (isinstance(x, int) and 0 <= x < q):
-                raise ValueError(f"entry {x!r} is not a code in 0..{q - 1}")
+                raise UsageError(f"entry {x!r} is not a code in 0..{q - 1}")
         self.field = field
         self.m = m
         self.n = n
@@ -148,7 +148,7 @@ class MatGF:
     def scale(self, c: int) -> "MatGF":
         F = self.field
         if not 0 <= c < F.q:
-            raise ValueError(f"scalar {c!r} is not a code in 0..{F.q - 1}")
+            raise UsageError(f"scalar {c!r} is not a code in 0..{F.q - 1}")
         return MatGF(F, self.m, self.n, tuple(F.mul(c, a) for a in self.entries))
 
     def __matmul__(self, other: "MatGF") -> "MatGF":
@@ -194,29 +194,21 @@ class MatGF:
         Vectors are emitted in ascending free-column order from the reduced
         echelon form, so the result is reproducible.
         """
-        F = self.field
-        rows = self.rows_as_lists()
-        pivots = _rref_rows(F, rows)
-        pivot_set = set(pivots)
-        out = []
-        for j in range(self.n):
-            if j in pivot_set:
-                continue
-            v = [0] * self.n
-            v[j] = 1
-            for i, pj in enumerate(pivots):
-                v[pj] = F.neg(rows[i][j])
-            out.append(MatGF(F, self.n, 1, v))
-        return out
+        V = _kernel_batch(self.field, self._codes())[0]
+        return [MatGF(self.field, self.n, 1, V[:, t].tolist())
+                for t in range(V.shape[1])]
 
     def image_basis(self) -> list["MatGF"]:
         """Exactly rank(A) independent columns of A spanning {Av}."""
-        rows = self.rows_as_lists()
-        pivots = _rref_rows(self.field, rows)
+        _, pivot_row = rref_batch(self.field, self._codes())
         e = self.entries
         n = self.n
         return [MatGF(self.field, self.m, 1, tuple(e[i * n + j] for i in range(self.m)))
-                for j in pivots]
+                for j in np.flatnonzero(pivot_row[0] >= 0).tolist()]
+
+    def _codes(self) -> np.ndarray:
+        """The entries as a (1, m, n) block for the batched eliminations."""
+        return np.array(self.entries, dtype=np.int32).reshape(1, self.m, self.n)
 
     # -- padding -------------------------------------------------------------
 
@@ -267,38 +259,8 @@ def member_of_span(v: MatGF, basis: Sequence[MatGF]) -> bool:
             raise DimensionMismatch("span vectors must match v in field and length")
     if not basis:
         return v.is_zero
-    F = v.field
     rows = [list(b.entries) for b in basis]
-    pivots = _rref_rows(F, rows)
-    w = list(v.entries)
-    _reduce_vector(F, w, rows, pivots)
-    return not any(w)
-
-
-def _reduce_vector(field: FieldSpec, w: list[int], rref_rows: list[list[int]],
-                   pivots: list[int]) -> None:
-    """Reduce w in place against rows already in reduced echelon form."""
-    mf = field._mul_flat
-    q = field.q
-    if mf is not None:
-        sf = field._sub_flat
-        for i, pj in enumerate(pivots):
-            c = w[pj]
-            if c:
-                row = rref_rows[i]
-                cq = c * q
-                for t in range(len(w)):
-                    y = row[t]
-                    if y:
-                        w[t] = sf[w[t] * q + mf[cq + y]]
-    else:
-        for i, pj in enumerate(pivots):
-            c = w[pj]
-            if c:
-                row = rref_rows[i]
-                for t in range(len(w)):
-                    if row[t]:
-                        w[t] = field.sub(w[t], field.mul(c, row[t]))
+    return _rank_rows(v.field, rows + [list(v.entries)]) == _rank_rows(v.field, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +298,59 @@ def rank_batch(field: FieldSpec, codes: np.ndarray) -> np.ndarray:
         rest = A[:, :, j + 1:]
         rest[...] = ar.add(rest, ar.mul(factor[:, :, None], prow[:, None, :]))
     return rank
+
+
+def rref_batch(field: FieldSpec, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms of an (N, m, n) block of codes.
+
+    The column sweep of rank_batch, except that each pivot row is scaled
+    to a leading 1 and kept in place, and the column is cleared from every
+    other row.  The pivot is the first row with a nonzero entry that has
+    not pivoted yet, so the nonzero rows of R are exactly the reduced
+    echelon rows, each at the position of the row it came from.  Returns
+    (R, pivot_row), where pivot_row[k, j] is the row of R[k] whose leading
+    1 is in column j, or -1 when column j is free.
+    """
+    R = np.array(codes, dtype=np.int32)   # a copy; it is reduced in place
+    N, m, n = R.shape
+    ar = field.arrays
+    which = np.arange(N)
+    unused = np.ones((N, m), dtype=bool)
+    pivot_row = np.full((N, n), -1, dtype=np.intp)
+    for j in range(n):
+        col = R[:, :, j]
+        cand = unused & (col != 0)
+        piv = cand.argmax(axis=1)
+        has = cand[which, piv]
+        pv = np.where(has, col[which, piv], 0)
+        # the scaled pivot row; all zero when column j has no pivot
+        prow = ar.mul(R[which, piv, j:], ar.inv[pv][:, None])
+        rest = R[:, :, j:]
+        rest[...] = ar.add(rest, ar.mul(ar.neg[col][:, :, None], prow[:, None, :]))
+        rest[which[has], piv[has]] = prow[has]
+        unused[which[has], piv[has]] = False
+        pivot_row[has, j] = piv[has]
+    return R, pivot_row
+
+
+def _kernel_batch(field: FieldSpec, codes: np.ndarray) -> np.ndarray:
+    """Kernel bases of an (N, m, n) block whose matrices share one rank.
+
+    Returns (N, n, n - rank): column t of entry k is the kernel vector of
+    free column f, the t-th free column of matrix k in ascending order,
+    with 1 at f, -R[row, f] at each pivot column, 0 elsewhere.
+    """
+    R, pivot_row = rref_batch(field, codes)
+    N, _, n = R.shape
+    free = pivot_row < 0
+    free_cols = np.nonzero(free)[1].reshape(N, -1)
+    k = free_cols.shape[1]
+    V = field.arrays.neg[R[np.arange(N)[:, None, None],
+                           np.maximum(pivot_row, 0)[:, :, None],
+                           free_cols[:, None, :]]]
+    V[free] = 0
+    V[np.arange(N)[:, None], free_cols, np.arange(k)] = 1
+    return V
 
 
 def _rank_rows(field: FieldSpec, rows: list[list[int]]) -> int:
@@ -379,69 +394,6 @@ def _rank_rows_table(field: FieldSpec, rows: list[list[int]]) -> int:
         if rank == nrows:
             break
     return rank
-
-
-def _rref_rows(field: FieldSpec, rows: list[list[int]]) -> list[int]:
-    """Reduce rows in place to reduced row echelon form; returns pivot columns."""
-    q = field.q
-    mf = field._mul_flat
-    nrows = len(rows)
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    rank = 0
-    if mf is not None:
-        sf = field._sub_flat
-        iv = field._inv
-        for col in range(ncols):
-            piv = -1
-            for i in range(rank, nrows):
-                if rows[i][col]:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            prow = rows[rank]
-            s = iv[prow[col]]
-            if s != 1:
-                sq = s * q
-                prow = rows[rank] = [mf[sq + x] for x in prow]
-            for i in range(nrows):
-                if i == rank:
-                    continue
-                ri = rows[i]
-                c = ri[col]
-                if c:
-                    cq = c * q
-                    rows[i] = [sf[x * q + mf[cq + y]] for x, y in zip(ri, prow)]
-            pivots.append(col)
-            rank += 1
-            if rank == nrows:
-                break
-    else:
-        for col in range(ncols):
-            piv = -1
-            for i in range(rank, nrows):
-                if rows[i][col]:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            s = field.inv(rows[rank][col])
-            if s != 1:
-                rows[rank] = [field.mul(s, x) for x in rows[rank]]
-            prow = rows[rank]
-            for i in range(nrows):
-                if i != rank and rows[i][col]:
-                    c = rows[i][col]
-                    rows[i] = [field.sub(x, field.mul(c, y))
-                               for x, y in zip(rows[i], prow)]
-            pivots.append(col)
-            rank += 1
-            if rank == nrows:
-                break
-    return pivots
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,20 @@ other.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import BudgetExceeded, InternalVerificationFailed, ShapeViolation
+from .errors import (
+    BudgetExceeded,
+    InternalVerificationFailed,
+    ShapeViolation,
+    UsageError,
+)
 from .field import FieldSpec
 from .matrix import MatGF, _gf2_rank_table, _rank_rows, _rank_words_gf2, _unpack_words
 from .subspace import SubspaceBasis, is_constant_rank
@@ -421,9 +426,9 @@ def search_constant_rank(F: FieldSpec, m: int, n: int, r: int,
     if target_dim < 1:
         raise ShapeViolation(f"target dimension must be positive, got {target_dim}")
     if budget < 1:
-        raise ValueError(f"node budget must be positive, got {budget}")
+        raise UsageError(f"node budget must be positive, got {budget}")
     if workers < 1:
-        raise ValueError(f"worker count must be positive, got {workers}")
+        raise UsageError(f"worker count must be positive, got {workers}")
     start = time.perf_counter()
     q = F.q
     mn = m * n
@@ -492,31 +497,23 @@ def _run_chunked(F, m, n, r, target_dim, pool_len, budget, workers, count_all):
     nodes = 0
     found_count = 0
     budget_hit = False
-    with ProcessPoolExecutor(max_workers=len(bounds)) as ex:
-        futs = [
-            ex.submit(_search_chunk, F, m, n, r, target_dim, lo, hi,
-                      per_worker, count_all)
+    # leaving the with block terminates the workers, so chunks after a
+    # find stop at once instead of running to the end
+    with multiprocessing.Pool(len(bounds)) as pool:
+        pending = [
+            pool.apply_async(_search_chunk, (F, m, n, r, target_dim, lo, hi,
+                                             per_worker, count_all))
             for lo, hi in bounds
         ]
-        if count_all:
-            for fut in futs:
-                res = fut.result()
-                nodes += res.nodes
-                found_count += res.found_count
-                budget_hit = budget_hit or res.budget_hit
-                if chain is None:
-                    chain = res.witness_chain
-        else:
-            for k, fut in enumerate(futs):
-                res = fut.result()
-                nodes += res.nodes
-                found_count += res.found_count
-                budget_hit = budget_hit or res.budget_hit
-                if res.witness_chain is not None:
-                    chain = res.witness_chain
-                    for later in futs[k + 1:]:
-                        later.cancel()
-                    break
+        for job in pending:
+            res = job.get()
+            nodes += res.nodes
+            found_count += res.found_count
+            budget_hit = budget_hit or res.budget_hit
+            if chain is None:
+                chain = res.witness_chain
+            if chain is not None and not count_all:
+                break
     return chain, nodes, found_count, budget_hit
 
 

@@ -17,6 +17,7 @@ from .errors import (
     EmptyInput,
     ParseError,
     ShapeMismatch,
+    UsageError,
     ZeroSpan,
 )
 from .field import FieldArrays, FieldSpec, parse_field_descriptor
@@ -26,9 +27,9 @@ from .matrix import (
     _pack_row_bits,
     _parse_matrix_block,
     _rank_rows,
-    _rref_rows,
     _tokens_with_cols,
     rank_batch,
+    rref_batch,
 )
 
 __all__ = [
@@ -119,13 +120,12 @@ def make_subspace(mats: Sequence[MatGF]) -> SubspaceBasis:
             raise ShapeMismatch(
                 f"mixed shapes: {first.m}x{first.n} vs {A.m}x{A.n}"
             )
-    rows = [list(A.entries) for A in mats]
-    _rref_rows(first.field, rows)
-    kept = [r for r in rows if any(r)]
-    if not kept:
+    R, pivot_row = rref_batch(first.field, np.array([[A.entries for A in mats]]))
+    kept = pivot_row[0][pivot_row[0] >= 0]
+    if not len(kept):
         raise ZeroSpan("all generating matrices are zero")
     return SubspaceBasis(
-        [MatGF(first.field, first.m, first.n, r) for r in kept]
+        [MatGF(first.field, first.m, first.n, R[0, i].tolist()) for i in kept]
     )
 
 
@@ -328,7 +328,7 @@ def is_constant_rank(S: SubspaceBasis, r: int, *,
     F = S.field
     d, m, n = S.d, S.m, S.n
     if not 1 <= r <= min(m, n):
-        raise ValueError(f"target rank {r} outside 1..{min(m, n)}")
+        raise UsageError(f"target rank {r} outside 1..{min(m, n)}")
     _check_budget(S, budget)
     if _gf2_packed(S):
         mn = m * n

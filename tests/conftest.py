@@ -60,3 +60,31 @@ def random_basis_change(S: SubspaceBasis, rng: random.Random) -> SubspaceBasis:
                 acc = acc + B.scale(coeffs[i][j])
         new_basis.append(acc)
     return make_subspace(new_basis)
+
+
+def ref_rref(F, rows):
+    """(reduced echelon rows, pivot columns), the nonzero rows only.
+
+    Plain elimination through the field's scalar add, sub, mul and inv,
+    the reference for the batched kernels.
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(rows[0])):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        s = F.inv(rows[rank][c])
+        rows[rank] = [F.mul(s, x) for x in rows[rank]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != rank and f:
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[rank])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def ref_rank(F, rows) -> int:
+    return len(ref_rref(F, rows)[1])

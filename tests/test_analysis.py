@@ -9,10 +9,12 @@ rather than tautology.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
+import constrank.analysis as analysis_mod
 from constrank import (
     DimensionMismatch,
     MatGF,
@@ -32,7 +34,8 @@ from constrank import (
     regular_representation,
     truncated_construction,
 )
-from conftest import col, mat
+from constrank.subspace import _BLOCK_CAP
+from conftest import col, mat, random_basis_change, ref_rank, ref_rref
 
 
 def _rank2_dim4_gf2():
@@ -144,6 +147,95 @@ def test_kernel_slice_scalar_invariance(gf5):
         base = kernel_slice(S, u).r_u
         for lam in range(2, 5):
             assert kernel_slice(S, u.scale(lam)).r_u == base
+
+
+# ---------------------------------------------------------------------------
+# fields above the table cap, against a per-vector scalar reference
+# ---------------------------------------------------------------------------
+
+_LARGE = [(257, 1), (2, 9)]
+
+
+def _ref_projective_vectors(F, n):
+    for lead in range(n - 1, -1, -1):
+        for tail in itertools.product(range(F.q), repeat=n - 1 - lead):
+            yield (0,) * lead + (1,) + tail
+
+
+def _ref_slice_dims(S):
+    """(u, dim K_u) in scan order; each evaluation matrix [B_1 u ... B_d u]
+    is built and ranked with the scalar field operations."""
+    F, n = S.field, S.n
+    for u in _ref_projective_vectors(F, n):
+        cols = []
+        for B in S.basis:
+            Bu = []
+            for i in range(n):
+                acc = 0
+                for t in range(n):
+                    acc = F.add(acc, F.mul(B.at(i, t), u[t]))
+                Bu.append(acc)
+            cols.append(Bu)
+        W = [[c[i] for c in cols] for i in range(n)]
+        yield u, S.d - ref_rank(F, W)
+
+
+@pytest.mark.parametrize("pe,n", [((2, 1), 5), ((3, 1), 4), ((257, 1), 3)],
+                         ids=["GF(2)", "GF(3)", "GF(257)"])
+def test_projective_blocks_follow_the_scan_order(pe, n):
+    # GF(257) n=3 has 66,307 classes, so blocks split inside one lead
+    F = make_field(*pe)
+    blocks = list(analysis_mod._projective_blocks(F, n))
+    assert max(len(U) for U in blocks) <= _BLOCK_CAP
+    got = [tuple(u) for U in blocks for u in U.tolist()]
+    assert got == list(_ref_projective_vectors(F, n))
+
+
+@pytest.mark.parametrize("pe", _LARGE, ids=["GF(257)", "GF(2^9)"])
+def test_slice_scans_above_the_table_cap(pe):
+    F = make_field(*pe)
+    rng = random.Random(f"slices:{pe}")
+    for m, r in ((2, 2), (2, 1), (1, 1)):
+        S = random_basis_change(
+            truncated_construction(F, m, 2, r).pad_to_square(), rng)
+        ref = list(_ref_slice_dims(S))
+        min_r_u = min(ru for _, ru in ref)
+        bound = check_kernel_bound(S)
+        assert bound.min_r_u == min_r_u
+        assert bound.min_u.entries == next(u for u, ru in ref if ru == min_r_u)
+        counting = counting_report(S)
+        assert counting.omega_by_vectors == sum(
+            (F.q - 1) * (F.q ** ru - 1) for _, ru in ref)
+        assert counting.rhs_min_exponent == min_r_u
+        for u, ru in ref[::37]:
+            ks = kernel_slice(S, col(F, u))
+            assert (ks.r_u, ks.image_dim) == (ru, S.d - ru)
+            for B in ks.slice_basis:
+                assert (B @ col(F, u)).is_zero
+
+
+def test_echelon_helpers_above_the_table_cap():
+    F = make_field(257)
+    rng = random.Random(257)
+    for _ in range(20):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[rng.randrange(F.q) for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.5:
+            rows[-1] = [F.add(x, F.mul(3, y)) for x, y in zip(rows[0], rows[1])]
+        A = mat(F, rows)
+        image = A.image_basis()
+        assert len(image) == ref_rank(F, rows)
+        columns = [col(F, [rows[i][j] for i in range(m)]) for j in range(n)]
+        assert all(member_of_span(c, image) for c in columns)
+        e = col(F, [1] + [0] * (m - 1))
+        assert member_of_span(e, image) == (
+            ref_rank(F, [c.entries for c in image] + [e.entries]) == len(image))
+        gens = [A, A.scale(5), mat(F, [[1] * n] * m)]
+        S = make_subspace(gens)
+        assert [list(B.entries) for B in S.basis] == \
+            ref_rref(F, [G.entries for G in gens])[0]
+        T = make_subspace([S.basis[-1], A + S.basis[0], A.scale(2)])
+        assert S == T
 
 
 def test_image_of_kernel_holds_on_invertible_span(gf2):

@@ -181,6 +181,28 @@ def test_library_defect_is_exit_four(monkeypatch, capsys):
     assert "self-check failed" in captured.err
 
 
+def test_unexpected_exception_is_exit_four(monkeypatch, capsys):
+    def broken(config):
+        raise ValueError("stray value error")
+
+    monkeypatch.setitem(cli_mod._HANDLERS, "construct", broken)
+    code = main(["construct", "--field", "GF(2)", "--shape", "2x2",
+                 "--rank", "1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "internal error" in captured.err
+    assert "stray value error" in captured.err
+
+
+def test_target_rank_out_of_range_is_exit_two(tmp_path, capsys):
+    target = tmp_path / "mixed.txt"
+    _write_mixed_rank_file(target)
+    code = main(["verify", "--input", str(target), "--rank", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: target rank 3 outside 1..2")
+
+
 def test_missing_input_file(tmp_path, capsys):
     code = main(["census", "--input", str(tmp_path / "nope.txt")])
     captured = capsys.readouterr()

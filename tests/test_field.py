@@ -10,11 +10,14 @@ verification.
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import pytest
 
 from constrank import (
     DivisionByZero,
+    FieldSpec,
+    InternalVerificationFailed,
     NonPrimeCharacteristic,
     OrderTooLarge,
     ParseError,
@@ -79,6 +82,30 @@ def test_axioms_reverified_in_python(p, e):
             for c in els[:4]:
                 assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
                 assert F.add(a, F.add(b, c)) == F.add(F.add(a, b), c)
+
+
+def test_axiom_check_memory_is_quadratic_in_q():
+    # a q x q x q check would need about 47 MB at q = 251
+    tracemalloc.start()
+    try:
+        FieldSpec(251)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("entries", [[(2, 3)], [(2, 3), (3, 2)]],
+                         ids=["one entry", "symmetric pair"])
+def test_axiom_check_rejects_a_wrong_product(entries):
+    F = FieldSpec(5)
+    F._verify_axioms()
+    mul = list(F._mul_flat)
+    for a, b in entries:
+        mul[a * 5 + b] = 2
+    F._mul_flat = tuple(mul)
+    with pytest.raises(InternalVerificationFailed):
+        F._verify_axioms()
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2)])

@@ -1,4 +1,4 @@
-"""The batched span-rank kernel against per-element scalar references.
+"""The batched span-rank and reduction kernels against scalar references.
 
 The references go only through the field's scalar methods (add, sub, mul,
 inv) and itertools, so they share no table, array or block code with the
@@ -26,8 +26,9 @@ from constrank import (
     rank_profile,
     regular_representation,
 )
-from constrank.matrix import rank_batch
+from constrank.matrix import _kernel_batch, rank_batch, rref_batch
 from constrank.subspace import _BLOCK_CAP, _BLOCK_START
+from conftest import ref_rank, ref_rref
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -39,22 +40,20 @@ def _field_id(pe) -> str:
     return f"GF({pe[0]})" if pe[1] == 1 else f"GF({pe[0]}^{pe[1]})"
 
 
-def _ref_rank(F, rows) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    for c in range(len(rows[0])):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        s = F.inv(rows[rank][c])
-        rows[rank] = [F.mul(s, x) for x in rows[rank]]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+def _ref_kernel(F, rows):
+    """Kernel vectors in ascending free-column order: 1 at the free
+    column f, minus row i's entry f at pivot column i."""
+    reduced, pivots = ref_rref(F, rows)
+    n = len(rows[0])
+    out = []
+    for f in range(n):
+        if f not in pivots:
+            v = [0] * n
+            v[f] = 1
+            for row, p in zip(reduced, pivots):
+                v[p] = F.neg(row[f])
+            out.append(v)
+    return out
 
 
 def _ref_elements(S):
@@ -69,7 +68,7 @@ def _ref_elements(S):
 
 def _ref_matrix_rank(S, entries) -> int:
     n = S.n
-    return _ref_rank(S.field, [entries[i * n:(i + 1) * n] for i in range(S.m)])
+    return ref_rank(S.field, [entries[i * n:(i + 1) * n] for i in range(S.m)])
 
 
 def _ref_first_offender(S, r):
@@ -113,8 +112,28 @@ def test_rank_batch_matches_scalar_elimination(pe):
     for m in range(1, 5):
         for n in range(1, 5):
             block = [_random_matrix(F, m, n, rng) for _ in range(12)]
-            got = rank_batch(F, np.array(block))
-            assert got.tolist() == [_ref_rank(F, rows) for rows in block], (m, n)
+            codes = np.array(block)
+            ranks = rank_batch(F, codes)
+            assert ranks.tolist() == [ref_rank(F, rows) for rows in block], (m, n)
+            R, pivot_row = rref_batch(F, codes)
+            for k, rows in enumerate(block):
+                reduced, pivots = ref_rref(F, rows)
+                assert np.flatnonzero(pivot_row[k] >= 0).tolist() == pivots
+                at = pivot_row[k][pivots]
+                assert R[k][at].tolist() == reduced, (m, n, rows)
+                assert not np.delete(R[k], at, axis=0).any()
+            # kernel and left-kernel extraction, batched over equal ranks
+            for s in set(ranks.tolist()):
+                same = codes[ranks == s]
+                K = _kernel_batch(F, same)
+                L = _kernel_batch(F, same.transpose(0, 2, 1))
+                for A, K_A, L_A in zip(same, K, L):
+                    A = MatGF(F, m, n, A.ravel().tolist())
+                    kernel = [list(v.entries) for v in A.kernel_basis()]
+                    assert kernel == _ref_kernel(F, A.rows_as_lists())
+                    assert K_A.T.tolist() == kernel
+                    assert L_A.T.tolist() == [
+                        list(v.entries) for v in A.transpose().kernel_basis()]
 
 
 @pytest.mark.parametrize("pe", FIELDS, ids=_field_id)
@@ -204,7 +223,7 @@ def _perturbed_span(F, d, target, rng):
 def _random_invertible(F, k, rng):
     while True:
         rows = [[rng.randrange(F.q) for _ in range(k)] for _ in range(k)]
-        if _ref_rank(F, rows) == k:
+        if ref_rank(F, rows) == k:
             return rows
 
 

@@ -9,6 +9,7 @@ main correctness evidence for both.
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -140,6 +141,18 @@ def test_workers_do_not_change_the_answer(gf2, gf3):
     b = search_constant_rank(gf3, 2, 2, 2, 2, count_all=True, workers=3)
     assert a.found_count == b.found_count == 18
     assert a.nodes_explored == b.nodes_explored
+
+
+def test_parallel_find_stops_the_chunks_after_it(gf2):
+    # the witness lies in the first chunk; the second chunk's tree takes
+    # minutes, so this only returns in time if that chunk is stopped
+    base = search_constant_rank(gf2, 4, 4, 3, 5)
+    t0 = time.perf_counter()
+    multi = search_constant_rank(gf2, 4, 4, 3, 5, workers=2)
+    assert time.perf_counter() - t0 < 30.0
+    assert multi.status is base.status is SearchStatus.FOUND
+    assert multi.witness == base.witness
+    assert multi.nodes_explored == base.nodes_explored == 10680
 
 
 def test_worker_count_is_capped_at_cores(monkeypatch):
