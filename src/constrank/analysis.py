@@ -29,6 +29,7 @@ from .errors import (
     InternalVerificationFailed,
     NotConstantRank,
     ShapeViolation,
+    UsageError,
     ZeroVector,
 )
 from .field import FieldArrays, FieldSpec
@@ -405,9 +406,9 @@ def counting_report(S: SubspaceBasis, *,
 def qadic_valuation(q: int, value: int) -> int:
     """Largest k such that q^k divides value (exact integer arithmetic)."""
     if q < 2:
-        raise ValueError(f"valuation base must be at least 2, got {q}")
+        raise UsageError(f"valuation base must be at least 2, got {q}")
     if value == 0:
-        raise ValueError("the valuation of zero is undefined")
+        raise UsageError("the valuation of zero is undefined")
     v = abs(value)
     k = 0
     while v % q == 0:

@@ -3,7 +3,9 @@
 Entries are stored row-major as field codes; a vector is the n-by-1 case.
 The echelon pivot order is fixed (leftmost non-zero column, topmost row) so
 kernel and image bases are reproducible.  GF(2) rows additionally pack into
-machine words, since the search workload is dominated by rank calls.
+machine words for scalar ranks.  For small shapes _rank_table ranks every
+matrix once, indexed by its base-q code, for the search, the census and
+the GF(2) span walks.
 
 Text format (bit-exact round-trip): first line "m n GF(...)", then m lines
 of n space-separated element codes.
@@ -353,6 +355,36 @@ def _kernel_batch(field: FieldSpec, codes: np.ndarray) -> np.ndarray:
     return V
 
 
+# codes per rank_batch call while a rank table is built
+_TABLE_BLOCK = 1 << 12
+
+
+@lru_cache(maxsize=32)
+def _rank_table(field: FieldSpec, m: int, n: int) -> bytes:
+    """Rank of every m-by-n matrix over field, indexed by its code.
+
+    The code of a matrix reads its row-major entries as base-q digits,
+    entry (0,0) most significant, so numeric order on codes is
+    lexicographic order on entries and a GF(2) code is the packed bit
+    word.  The q^(mn) matrices are ranked by rank_batch in blocks, which
+    bounds the working memory; callers decide how large a table to build.
+    """
+    q, mn = field.q, m * n
+    total = q ** mn
+    out = bytearray(total)
+    for lo in range(0, total, _TABLE_BLOCK):
+        codes = np.arange(lo, min(lo + _TABLE_BLOCK, total), dtype=np.int64)
+        ranks = rank_batch(field, _code_digits(codes, q, mn).reshape(-1, m, n))
+        out[lo:lo + len(codes)] = ranks.astype(np.uint8).tobytes()
+    return bytes(out)
+
+
+def _code_digits(codes: np.ndarray, q: int, length: int) -> np.ndarray:
+    """(N, length) base-q digits of codes, most significant first."""
+    powers = q ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    return (codes[:, None] // powers % q).astype(np.int32)
+
+
 def _rank_rows(field: FieldSpec, rows: list[list[int]]) -> int:
     """Row-echelon rank; consumes the row lists."""
     if field.q == 2:
@@ -397,7 +429,7 @@ def _rank_rows_table(field: FieldSpec, rows: list[list[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) fast path: rows as machine words, column 0 in the most significant bit
+# GF(2) scalar path: rows as machine words, column 0 in the most significant bit
 # ---------------------------------------------------------------------------
 
 def _pack_row_bits(row: Sequence[int]) -> int:
@@ -405,11 +437,6 @@ def _pack_row_bits(row: Sequence[int]) -> int:
     for x in row:
         w = (w << 1) | x
     return w
-
-
-def _unpack_words(code: int, m: int, n: int) -> list[int]:
-    mask = (1 << n) - 1
-    return [(code >> (n * (m - 1 - i))) & mask for i in range(m)]
 
 
 def _rank_words_gf2(words: list[int]) -> int:
@@ -426,23 +453,6 @@ def _rank_words_gf2(words: list[int]) -> int:
                 break
             w ^= p
     return rank
-
-
-@lru_cache(maxsize=32)
-def _gf2_rank_table(m: int, n: int) -> bytes:
-    """Rank of every m-by-n GF(2) matrix, indexed by its packed code.
-
-    Packing is row-major with entry (0,0) in the most significant bit, so
-    numeric order on codes equals lexicographic order on entries.  Only built
-    for m*n <= 16.
-    """
-    mn = m * n
-    if mn > 16:
-        raise ValueError(f"rank table capped at 16 bits, got {mn}")
-    out = bytearray(1 << mn)
-    for code in range(1, 1 << mn):
-        out[code] = _rank_words_gf2(_unpack_words(code, m, n))
-    return bytes(out)
 
 
 # ---------------------------------------------------------------------------

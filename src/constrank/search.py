@@ -11,6 +11,14 @@ Rank checking is incremental: only the elements new to the enlarged span
 are examined, and scalar invariance of rank cuts that to the single
 coset B_k + span.
 
+One engine serves every field.  It stores each matrix as a base-q
+integer code, entry (0,0) most significant, so integer order is the
+lexicographic order above and a GF(2) code is the packed bit word.
+Candidates are ranked in numpy blocks, and the test that a candidate
+vanishes at the leading positions is a mask on its support.  The coset
+check reads a rank table indexed by code when there are at most POOL_CAP
+codes; in characteristic 2 the sum of two codes is then their XOR.
+
 brute_force_census enumerates ALL subspaces of a given dimension via
 reduced-echelon representatives and counts the constant-rank ones; it is
 deliberately independent of the pruned search so the two can check each
@@ -25,6 +33,7 @@ import os
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +44,7 @@ from .errors import (
     UsageError,
 )
 from .field import FieldSpec
-from .matrix import MatGF, _gf2_rank_table, _rank_rows, _rank_words_gf2, _unpack_words
+from .matrix import MatGF, _code_digits, _rank_rows, _rank_table, rank_batch
 from .subspace import SubspaceBasis, is_constant_rank
 
 __all__ = [
@@ -84,299 +93,242 @@ class _BudgetHit(Exception):
 
 
 # ---------------------------------------------------------------------------
-# candidate pools
+# the depth-first engine
 # ---------------------------------------------------------------------------
 
-def _projective_matrices(field: FieldSpec, m: int, n: int):
-    """Flat entry tuples, one per scalar class of nonzero m-by-n matrices,
-    lexicographically ascending; first nonzero entry is always 1."""
-    q = field.q
-    mn = m * n
-    for lead in range(mn - 1, -1, -1):
-        prefix = (0,) * lead + (1,)
-        for tail in itertools.product(range(q), repeat=mn - 1 - lead):
-            yield prefix + tail
+# Candidate codes are ranked in blocks of at most this many codes, or of q
+# codes when q is larger.
+_BLOCK = 4096
 
 
-def _build_pool(field: FieldSpec, m: int, n: int, r: int):
-    """All rank-r scalar-class representatives, sorted ascending.
+class _Engine:
+    """Depth-first search over base-q matrix codes.
 
-    GF(2) pools hold packed integer codes, generic pools entry tuples.
+    A matrix is stored as the integer whose base-q digits are its
+    row-major entries, entry (0,0) most significant, so integer order is
+    entry-lexicographic order and a GF(2) code is the packed bit word.
+    Its support is the bit mask of its nonzero entries, in the same bit
+    order.  Candidates are the projective codes, those in [q^k, 2q^k)
+    for some k (first nonzero entry 1), of rank r, in ascending order.
+    They are ranked in numpy blocks and kept as arrays (the pool) when
+    there are at most POOL_CAP projective codes, and generated again at
+    each depth (the stream) otherwise.  A depth takes the candidates
+    above the previous chain element whose support misses the pivot
+    mask, the leading positions of the chain; that filter runs on a
+    numpy array of supports.
+
+    A rank table indexed by code is used when q^(mn) <= POOL_CAP.  In
+    characteristic 2 the base-2^e digits are bit fields, so the sum of
+    two codes is their XOR and the coset check is a pure-Python loop of
+    table lookups.  Otherwise the span is kept as an array of digit rows
+    and each check is one numpy call: table lookups, or rank_batch when
+    there is no table.
     """
-    q = field.q
-    mn = m * n
-    if q == 2:
-        if mn <= 16:
-            table = _gf2_rank_table(m, n)
-            return [c for c in range(1, 1 << mn) if table[c] == r]
-        return [
-            c for c in range(1, 1 << mn)
-            if _rank_words_gf2(_unpack_words(c, m, n)) == r
-        ]
-    pool = []
-    for X in _projective_matrices(field, m, n):
-        rows = [list(X[i * n: (i + 1) * n]) for i in range(m)]
-        if _rank_rows(field, rows) == r:
-            pool.append(X)
-    return pool
 
-
-# ---------------------------------------------------------------------------
-# depth-first engines
-# ---------------------------------------------------------------------------
-
-class _EngineGF2:
-    """Search over packed GF(2) codes; column 0 of row 0 is the top bit,
-    so integer order on codes is entry-lexicographic order."""
-
-    def __init__(self, field, m, n, r, target_dim, pool, budget, count_all):
+    def __init__(self, field, m, n, r, target_dim, budget, count_all):
+        q = field.q
+        mn = m * n
         self.field = field
+        self.ar = field.arrays
+        self.q = q
         self.m = m
         self.n = n
-        self.mn = m * n
+        self.mn = mn
         self.r = r
         self.target_dim = target_dim
-        self.pool = pool
         self.budget = budget
         self.count_all = count_all
-        self.table = _gf2_rank_table(m, n) if self.mn <= 16 else None
         self.nodes = 0
         self.found_count = 0
         self.witness: list[int] | None = None
         self.chain: list[int] = []
-        self.span: list[int] = []
         self.pivot_mask = 0
+        table = _rank_table(field, m, n) if q ** mn <= POOL_CAP else None
+        self.table = table
+        self.table_np = None if table is None else np.frombuffer(table, np.uint8)
+        self.xor = table is not None and field.p == 2
+        self.span = [] if self.xor else np.zeros((0, mn), dtype=np.int32)
+        self.scalars = np.arange(1, q, dtype=np.int32)
+        if table is not None:
+            # digit rows to codes; only codes below q^(mn) <= POOL_CAP
+            self.weights = q ** np.arange(mn - 1, -1, -1, dtype=np.int64)
+        # codes are generated in blocks that share all but their last
+        # low_len digits, q^low_len codes at most
+        low_len = 1
+        while low_len < mn and q ** (low_len + 1) <= _BLOCK:
+            low_len += 1
+        self.low_len = low_len
+        self.codes = self.supports = None
+        if (q ** mn - 1) // (q - 1) <= POOL_CAP:
+            blocks = [(base + t, head | supp)
+                      for base, head, t, supp in self._blocks(0, 0)]
+            self.codes = np.concatenate([c for c, _ in blocks])
+            self.supports = np.concatenate([s for _, s in blocks])
 
-    def run(self, lo: int, hi: int) -> bool:
-        try:
-            if self.pool is None:
-                self._extend_stream(0, 0)
+    # -- candidates ----------------------------------------------------------
+
+    def _blocks(self, after: int, mask: int):
+        """The rank-r projective codes above after whose support misses
+        mask, ascending, in blocks (base, head, offsets, supports): the
+        codes are base + offsets and their supports head | supports."""
+        q, mn, low_len = self.q, self.mn, self.low_len
+        size = q ** low_len
+        high_len = mn - low_len
+        digits, low_supp, projective = _low_codes(q, low_len)
+        low_mask = mask & ((1 << low_len) - 1)
+        start = (after + 1) // size
+        # head H leads a projective block when H = 0 or its own leading
+        # digit is 1, that is H in [q^j, 2q^j)
+        ranges = [range(0, 1)] if start == 0 else []
+        for j in range(high_len):
+            if not mask >> (low_len + j) & 1:   # else that digit is a pivot
+                ranges.append(range(max(q ** j, start), 2 * q ** j))
+        for H in itertools.chain.from_iterable(ranges):
+            head_digits = _digits(H, q, high_len)
+            head = sum(1 << (mn - 1 - t) for t, x in enumerate(head_digits) if x)
+            if head & mask:
+                continue
+            base = H * size
+            rows = projective if H == 0 else np.arange(size)
+            if after >= base:
+                rows = rows[rows > after - base]
+            rows = rows[(low_supp[rows] & low_mask) == 0]
+            if self.table_np is not None:
+                ranks = self.table_np[base + rows]
             else:
-                self._extend_pool(0, lo, hi)
+                block = np.empty((len(rows), mn), dtype=np.int32)
+                block[:, :high_len] = head_digits
+                block[:, high_len:] = digits[rows]
+                ranks = rank_batch(self.field, block.reshape(-1, self.m, self.n))
+            hit = rows[ranks == self.r]
+            yield base, head, hit, low_supp[hit]
+
+    def _after(self, X: int):
+        """(code, support) pairs of the candidates above X whose support
+        misses the pivot mask, ascending."""
+        mask = self.pivot_mask
+        if self.codes is None:
+            return ((base + t, head | s)
+                    for base, head, hit, supp in self._blocks(X, mask)
+                    for t, s in zip(hit.tolist(), supp.tolist()))
+        lo = int(self.codes.searchsorted(X, "right"))
+        return self._pool_range(lo, len(self.codes), mask)
+
+    def _pool_range(self, lo: int, hi: int, mask: int):
+        if hi - lo <= _BLOCK:
+            return self._pool_chunk(lo, hi, mask)
+        # chunk by chunk, so a long range is never one Python list
+        return itertools.chain.from_iterable(
+            self._pool_chunk(a, min(a + _BLOCK, hi), mask)
+            for a in range(lo, hi, _BLOCK))
+
+    def _pool_chunk(self, lo: int, hi: int, mask: int):
+        supp = self.supports[lo:hi]
+        keep = (supp & mask) == 0
+        return zip(self.codes[lo:hi][keep].tolist(), supp[keep].tolist())
+
+    # -- traversal -----------------------------------------------------------
+
+    def run(self, lo: int, hi: int) -> "_ChunkResult":
+        """Search from the depth-1 candidates codes[lo:hi] (every candidate
+        when streaming)."""
+        budget_hit = False
+        try:
+            if self.codes is None:
+                self._extend(0, self._after(0))
+            else:
+                self._extend(0, self._pool_range(lo, hi, 0))
         except _FoundEarly:
-            return False
+            pass
         except _BudgetHit:
-            return True
-        return False
+            budget_hit = True
+        chain = None
+        if self.witness is not None:
+            chain = [tuple(_digits(X, self.q, self.mn)) for X in self.witness]
+        return _ChunkResult(chain, self.nodes, self.found_count, budget_hit)
 
-    def _rank_code(self, code: int) -> int:
-        if self.table is not None:
-            return self.table[code]
-        return _rank_words_gf2(_unpack_words(code, self.m, self.n))
+    def _extend(self, depth: int, candidates) -> None:
+        last = self.target_dim - 1
+        for X, supp in candidates:
+            if not self._closed(X):
+                continue
+            if depth == last:
+                self._record(X)
+                continue
+            saved = self._enter(X, supp)
+            self._extend(depth + 1, self._after(X))
+            self.chain.pop()
+            self.span, self.pivot_mask = saved
 
-    def _try_extend(self, depth: int, X: int) -> bool:
-        """Budget accounting plus the incremental closure check."""
+    def _closed(self, X: int) -> bool:
+        """Budget accounting plus the coset check: X + s has rank r for
+        every s in the span so far."""
         if self.nodes >= self.budget:
             raise _BudgetHit
         self.nodes += 1
         r = self.r
-        table = self.table
-        if table is not None:
+        if self.xor:
+            table = self.table
             for s in self.span:
                 if table[X ^ s] != r:
                     return False
-        else:
-            for s in self.span:
-                if self._rank_code(X ^ s) != r:
-                    return False
-        return True
+            return True
+        sums = self.ar.add(self.span, np.array(_digits(X, self.q, self.mn)))
+        if self.table_np is not None:
+            return bool((self.table_np[sums @ self.weights] == r).all())
+        ranks = rank_batch(self.field, sums.reshape(-1, self.m, self.n))
+        return bool((ranks == r).all())
 
-    def _enter(self, X: int) -> tuple[list[int], int]:
+    def _enter(self, X: int, supp: int):
         saved = (self.span, self.pivot_mask)
         self.chain.append(X)
-        self.span = self.span + [X] + [X ^ s for s in self.span]
-        self.pivot_mask |= 1 << (X.bit_length() - 1)
+        span = self.span
+        if self.xor:
+            # over GF(2) X is its only nonzero multiple
+            multiples = ([X] if self.q == 2
+                         else (self._multiples(X) @ self.weights).tolist())
+            self.span = span + multiples + [y ^ s for y in multiples for s in span]
+        else:
+            multiples = self._multiples(X)
+            self.span = np.concatenate([
+                span, multiples,
+                self.ar.add(multiples[:, None], span[None]).reshape(-1, self.mn),
+            ])
+        self.pivot_mask |= 1 << (supp.bit_length() - 1)
         return saved
 
-    def _leave(self, saved) -> None:
-        self.chain.pop()
-        self.span, self.pivot_mask = saved
+    def _multiples(self, X: int) -> np.ndarray:
+        """Digit rows of c X for c = 1, ..., q-1."""
+        return self.ar.mul(self.scalars[:, None], _digits(X, self.q, self.mn))
 
     def _record(self, X: int) -> None:
-        self.chain.append(X)
         self.found_count += 1
         if self.witness is None:
-            self.witness = list(self.chain)
-        self.chain.pop()
+            self.witness = self.chain + [X]
         if not self.count_all:
             raise _FoundEarly
 
-    def _extend_pool(self, depth: int, lo: int, hi: int) -> None:
-        pool = self.pool
-        last = self.target_dim - 1
-        for i in range(lo, hi):
-            X = pool[i]
-            if X & self.pivot_mask:
-                continue
-            if not self._try_extend(depth, X):
-                continue
-            if depth == last:
-                self._record(X)
-                continue
-            saved = self._enter(X)
-            self._extend_pool(depth + 1, i + 1, len(pool))
-            self._leave(saved)
 
-    def _extend_stream(self, depth: int, after: int) -> None:
-        last = self.target_dim - 1
-        for X in range(after + 1, 1 << self.mn):
-            if X & self.pivot_mask:
-                continue
-            if self._rank_code(X) != self.r:
-                continue
-            if not self._try_extend(depth, X):
-                continue
-            if depth == last:
-                self._record(X)
-                continue
-            saved = self._enter(X)
-            self._extend_stream(depth + 1, X)
-            self._leave(saved)
-
-    def chain_entries(self, chain: list[int]) -> list[tuple[int, ...]]:
-        mn = self.mn
-        return [
-            tuple((code >> (mn - 1 - t)) & 1 for t in range(mn))
-            for code in chain
-        ]
+@lru_cache(maxsize=32)
+def _low_codes(q: int, length: int):
+    """Digits (most significant first) and supports of the codes below
+    q^length, and those of them that are projective (first nonzero
+    digit 1)."""
+    digits = _code_digits(np.arange(q ** length), q, length)
+    supp = (digits != 0) @ (1 << np.arange(length - 1, -1, -1))
+    lead = digits[np.arange(len(digits)), (digits != 0).argmax(axis=1)]
+    out = digits, supp, np.flatnonzero(lead == 1)
+    for a in out:
+        a.flags.writeable = False   # shared by every caller of the cache
+    return out
 
 
-class _EngineGeneric:
-    """Search over flat entry tuples with table arithmetic."""
-
-    def __init__(self, field, m, n, r, target_dim, pool, budget, count_all):
-        self.field = field
-        self.m = m
-        self.n = n
-        self.r = r
-        self.target_dim = target_dim
-        self.pool = pool
-        self.budget = budget
-        self.count_all = count_all
-        self.nodes = 0
-        self.found_count = 0
-        self.witness: list[tuple[int, ...]] | None = None
-        self.chain: list[tuple[int, ...]] = []
-        self.span: list[tuple[int, ...]] = []
-        self.pivots: list[int] = []
-
-    def run(self, lo: int, hi: int) -> bool:
-        try:
-            if self.pool is None:
-                self._extend_stream(0, None)
-            else:
-                self._extend_pool(0, lo, hi)
-        except _FoundEarly:
-            return False
-        except _BudgetHit:
-            return True
-        return False
-
-    def _add(self, a, b):
-        F = self.field
-        af = F._add_flat
-        if af is not None:
-            q = F.q
-            return tuple(af[x * q + y] for x, y in zip(a, b))
-        return tuple(F.add(x, y) for x, y in zip(a, b))
-
-    def _scale(self, c, a):
-        F = self.field
-        mf = F._mul_flat
-        if mf is not None:
-            cq = c * F.q
-            return tuple(mf[cq + x] for x in a)
-        return tuple(F.mul(c, x) for x in a)
-
-    def _rank_of(self, X) -> int:
-        n = self.n
-        rows = [list(X[i * n: (i + 1) * n]) for i in range(self.m)]
-        return _rank_rows(self.field, rows)
-
-    def _try_extend(self, depth: int, X) -> bool:
-        if self.nodes >= self.budget:
-            raise _BudgetHit
-        self.nodes += 1
-        r = self.r
-        for s in self.span:
-            if self._rank_of(self._add(X, s)) != r:
-                return False
-        return True
-
-    def _enter(self, X):
-        saved = (self.span, self.pivots)
-        self.chain.append(X)
-        new_span = list(self.span)
-        for c in range(1, self.field.q):
-            Xc = self._scale(c, X) if c != 1 else X
-            new_span.append(Xc)
-            for s in saved[0]:
-                new_span.append(self._add(Xc, s))
-        self.span = new_span
-        lead = next(t for t, x in enumerate(X) if x)
-        self.pivots = self.pivots + [lead]
-        return saved
-
-    def _leave(self, saved) -> None:
-        self.chain.pop()
-        self.span, self.pivots = saved
-
-    def _record(self, X) -> None:
-        self.chain.append(X)
-        self.found_count += 1
-        if self.witness is None:
-            self.witness = list(self.chain)
-        self.chain.pop()
-        if not self.count_all:
-            raise _FoundEarly
-
-    def _vanishes_on_pivots(self, X) -> bool:
-        for p in self.pivots:
-            if X[p]:
-                return False
-        return True
-
-    def _extend_pool(self, depth: int, lo: int, hi: int) -> None:
-        pool = self.pool
-        last = self.target_dim - 1
-        for i in range(lo, hi):
-            X = pool[i]
-            if not self._vanishes_on_pivots(X):
-                continue
-            if not self._try_extend(depth, X):
-                continue
-            if depth == last:
-                self._record(X)
-                continue
-            saved = self._enter(X)
-            self._extend_pool(depth + 1, i + 1, len(pool))
-            self._leave(saved)
-
-    def _extend_stream(self, depth: int, after) -> None:
-        last = self.target_dim - 1
-        for X in _projective_matrices(self.field, self.m, self.n):
-            if after is not None and X <= after:
-                continue
-            if not self._vanishes_on_pivots(X):
-                continue
-            if self._rank_of(X) != self.r:
-                continue
-            if not self._try_extend(depth, X):
-                continue
-            if depth == last:
-                self._record(X)
-                continue
-            saved = self._enter(X)
-            self._extend_stream(depth + 1, X)
-            self._leave(saved)
-
-    def chain_entries(self, chain) -> list[tuple[int, ...]]:
-        return list(chain)
-
-
-def _make_engine(field, m, n, r, target_dim, pool, budget, count_all):
-    cls = _EngineGF2 if field.q == 2 else _EngineGeneric
-    return cls(field, m, n, r, target_dim, pool, budget, count_all)
+def _digits(X: int, q: int, length: int) -> list[int]:
+    """Base-q digits of the integer X, most significant first."""
+    out = [0] * length
+    for t in range(length - 1, -1, -1):
+        X, out[t] = divmod(X, q)
+    return out
 
 
 @dataclass
@@ -388,13 +340,8 @@ class _ChunkResult:
 
 
 def _search_chunk(field, m, n, r, target_dim, lo, hi, budget, count_all):
-    pool = _build_pool(field, m, n, r)
-    engine = _make_engine(field, m, n, r, target_dim, pool, budget, count_all)
-    budget_hit = engine.run(lo, hi)
-    chain = None
-    if engine.witness is not None:
-        chain = engine.chain_entries(engine.witness)
-    return _ChunkResult(chain, engine.nodes, engine.found_count, budget_hit)
+    engine = _Engine(field, m, n, r, target_dim, budget, count_all)
+    return engine.run(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -430,43 +377,26 @@ def search_constant_rank(F: FieldSpec, m: int, n: int, r: int,
     if workers < 1:
         raise UsageError(f"worker count must be positive, got {workers}")
     start = time.perf_counter()
-    q = F.q
-    mn = m * n
-    projective_total = (q ** mn - 1) // (q - 1)
-
-    if projective_total > POOL_CAP:
-        engine = _make_engine(F, m, n, r, target_dim, None, budget, count_all)
-        budget_hit = engine.run(0, 0)
-        chain = (engine.chain_entries(engine.witness)
-                 if engine.witness is not None else None)
-        nodes = engine.nodes
-        found_count = engine.found_count
+    engine = _Engine(F, m, n, r, target_dim, budget, count_all)
+    pool_len = 0 if engine.codes is None else len(engine.codes)
+    workers = _worker_count(workers, pool_len)
+    if workers == 1:
+        res = engine.run(0, pool_len)
     else:
-        pool = _build_pool(F, m, n, r)
-        workers = _worker_count(workers, len(pool))
-        if workers == 1:
-            engine = _make_engine(F, m, n, r, target_dim, pool, budget,
-                                  count_all)
-            budget_hit = engine.run(0, len(pool))
-            chain = (engine.chain_entries(engine.witness)
-                     if engine.witness is not None else None)
-            nodes = engine.nodes
-            found_count = engine.found_count
-        else:
-            chain, nodes, found_count, budget_hit = _run_chunked(
-                F, m, n, r, target_dim, len(pool), budget, workers, count_all
-            )
+        res = _run_chunked(F, m, n, r, target_dim, pool_len, budget, workers,
+                           count_all)
 
     witness = None
-    if chain is not None:
-        witness = SubspaceBasis([MatGF(F, m, n, ent) for ent in chain])
+    if res.witness_chain is not None:
+        witness = SubspaceBasis([MatGF(F, m, n, ent)
+                                 for ent in res.witness_chain])
         ok, bad = is_constant_rank(witness, r)
         if not ok or witness.d != target_dim:
             raise InternalVerificationFailed(
                 f"search produced an invalid witness (offender {bad!r})"
             )
 
-    if budget_hit and (count_all or witness is None):
+    if res.budget_hit and (count_all or witness is None):
         status = SearchStatus.BUDGET_EXCEEDED
     elif witness is not None:
         status = SearchStatus.FOUND
@@ -475,9 +405,9 @@ def search_constant_rank(F: FieldSpec, m: int, n: int, r: int,
     return SearchOutcome(
         status=status,
         witness=witness,
-        nodes_explored=nodes,
+        nodes_explored=res.nodes,
         elapsed=time.perf_counter() - start,
-        found_count=found_count,
+        found_count=res.found_count,
     )
 
 
@@ -514,7 +444,7 @@ def _run_chunked(F, m, n, r, target_dim, pool_len, budget, workers, count_all):
                 chain = res.witness_chain
             if chain is not None and not count_all:
                 break
-    return chain, nodes, found_count, budget_hit
+    return _ChunkResult(chain, nodes, found_count, budget_hit)
 
 
 # ---------------------------------------------------------------------------
@@ -556,16 +486,16 @@ def brute_force_census(F: FieldSpec, m: int, n: int, r: int, dim: int, *,
             f"census over {total} subspaces exceeds the budget {budget}"
         )
     if q == 2 and mn <= 16:
-        return _census_gf2_packed(m, n, r, dim)
+        return _census_gf2_packed(F, m, n, r, dim)
     return _census_generic(F, m, n, r, dim)
 
 
-def _census_gf2_packed(m: int, n: int, r: int, dim: int) -> int:
+def _census_gf2_packed(F: FieldSpec, m: int, n: int, r: int, dim: int) -> int:
     """Vectorized GF(2) census: for each pivot pattern, all free-entry
     assignments are laid out along a numpy axis and every nonzero basis
     combination is rank-checked through the packed rank table."""
     mn = m * n
-    table = np.frombuffer(_gf2_rank_table(m, n), dtype=np.uint8)
+    table = np.frombuffer(_rank_table(F, m, n), dtype=np.uint8)
     count = 0
     for combo in itertools.combinations(range(mn), dim):
         pivot_set = set(combo)
@@ -599,7 +529,9 @@ def _census_generic(F: FieldSpec, m: int, n: int, r: int, dim: int) -> int:
     q = F.q
     mn = m * n
     count = 0
-    coeff_reps = list(_projective_matrices(F, dim, 1))
+    # one coefficient vector per scalar class: first nonzero entry 1
+    coeff_reps = [c for c in itertools.product(range(q), repeat=dim)
+                  if any(c) and next(x for x in c if x) == 1]
     for combo in itertools.combinations(range(mn), dim):
         pivot_set = set(combo)
         free = [

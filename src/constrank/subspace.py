@@ -23,10 +23,10 @@ from .errors import (
 from .field import FieldArrays, FieldSpec, parse_field_descriptor
 from .matrix import (
     MatGF,
-    _gf2_rank_table,
     _pack_row_bits,
     _parse_matrix_block,
     _rank_rows,
+    _rank_table,
     _tokens_with_cols,
     rank_batch,
     rref_batch,
@@ -66,7 +66,7 @@ class SubspaceBasis:
                 )
         rows = [list(B.entries) for B in basis]
         if _rank_rows(first.field, rows) != len(basis):
-            raise ValueError("basis matrices are linearly dependent")
+            raise UsageError("basis matrices are linearly dependent")
         self.field = first.field
         self.m = first.m
         self.n = first.n
@@ -185,7 +185,7 @@ def parse_subspace(text: str) -> SubspaceBasis:
             raise ParseError("unexpected content after subspace", k + 1, 1)
     try:
         return SubspaceBasis(mats)
-    except ValueError as exc:
+    except UsageError as exc:
         raise ParseError(str(exc), header_line, 1)
 
 
@@ -304,7 +304,7 @@ def rank_profile(S: SubspaceBasis, *,
     if _gf2_packed(S):
         # Gray traversal: one XOR per element, table lookup for the rank.
         packed = [_pack_row_bits(B.entries) for B in S.basis]
-        table = _gf2_rank_table(m, n)
+        table = _rank_table(S.field, m, n)
         cur = 0
         for k in range(1, 1 << d):
             cur ^= packed[(k & -k).bit_length() - 1]
@@ -335,7 +335,7 @@ def is_constant_rank(S: SubspaceBasis, r: int, *,
         # counter bit b holds coefficient d-1-b, so counting up walks the
         # coefficient vectors in lexicographic order
         word = [_pack_row_bits(S.basis[d - 1 - b].entries) for b in range(d)]
-        table = _gf2_rank_table(m, n)
+        table = _rank_table(S.field, m, n)
         cur = 0
         for k in range(1, 1 << d):
             low = (k & -k).bit_length() - 1

@@ -20,6 +20,7 @@ from constrank import (
     MatGF,
     NotConstantRank,
     ShapeViolation,
+    UsageError,
     ZeroVector,
     check_general_bound,
     check_image_of_kernel,
@@ -380,9 +381,11 @@ def test_qadic_valuation():
     assert qadic_valuation(3, 5) == 0
     assert qadic_valuation(5, -250) == 3
     assert qadic_valuation(2, 2 ** 4 - 2 - 2 ** 3 + 2 ** 2) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         qadic_valuation(1, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
+        qadic_valuation(2, 0)
+    with pytest.raises(ValueError):     # UsageError is also a ValueError
         qadic_valuation(2, 0)
 
 

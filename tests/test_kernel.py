@@ -26,7 +26,7 @@ from constrank import (
     rank_profile,
     regular_representation,
 )
-from constrank.matrix import _kernel_batch, rank_batch, rref_batch
+from constrank.matrix import _kernel_batch, _rank_table, rank_batch, rref_batch
 from constrank.subspace import _BLOCK_CAP, _BLOCK_START
 from conftest import ref_rank, ref_rref
 
@@ -134,6 +134,24 @@ def test_rank_batch_matches_scalar_elimination(pe):
                     assert K_A.T.tolist() == kernel
                     assert L_A.T.tolist() == [
                         list(v.entries) for v in A.transpose().kernel_basis()]
+
+
+@pytest.mark.parametrize("pe,m,n", [
+    ((2, 1), 3, 3), ((2, 1), 2, 5), ((3, 1), 2, 3), ((2, 2), 2, 2),
+    ((5, 1), 1, 3), ((2, 3), 1, 3),
+], ids=lambda v: _field_id(v) if isinstance(v, tuple) else str(v))
+def test_rank_table_matches_scalar_elimination(pe, m, n, monkeypatch):
+    # every code, with blocks small enough that the table spans several
+    monkeypatch.setattr("constrank.matrix._TABLE_BLOCK", 100)
+    F = make_field(*pe)
+    _rank_table.cache_clear()
+    table = _rank_table(F, m, n)
+    q = F.q
+    assert len(table) == q ** (m * n)
+    for code in range(q ** (m * n)):
+        digits = [(code // q ** (m * n - 1 - t)) % q for t in range(m * n)]
+        rows = [digits[i * n:(i + 1) * n] for i in range(m)]
+        assert table[code] == ref_rank(F, rows), (code, rows)
 
 
 @pytest.mark.parametrize("pe", FIELDS, ids=_field_id)

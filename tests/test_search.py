@@ -82,9 +82,18 @@ def test_overfull_dimensions_exhaust(q, n, r, dim):
 
 
 def test_search_count_matches_census_on_grid():
-    for q in (2, 3):
-        F = make_field(q)
-        for m, n in ((1, 2), (2, 2), (2, 3)):
+    grid = [
+        (make_field(2), ((1, 2), (2, 2), (2, 3))),
+        (make_field(3), ((1, 2), (2, 2), (2, 3))),
+        (make_field(2, 2), ((1, 2), (2, 2))),
+        (make_field(5), ((1, 2), (2, 2))),
+        # above the 256-element table cap of the field
+        (make_field(257), ((1, 2),)),
+        (make_field(2, 9), ((1, 2),)),
+    ]
+    for F, shapes in grid:
+        q = F.q
+        for m, n in shapes:
             for r in range(1, min(m, n) + 1):
                 for dim in range(1, m * n + 1):
                     if gaussian_binomial(q, m * n, dim) > 10 ** 5:
@@ -167,15 +176,96 @@ def test_worker_count_is_capped_at_cores(monkeypatch):
     assert search_mod._worker_count(8, 100) == 1
 
 
-def test_streamed_pool_matches_in_memory_pool(gf2, gf3, monkeypatch):
-    pooled_found = search_constant_rank(gf2, 3, 3, 2, 4)
-    pooled_count = search_constant_rank(gf3, 2, 2, 2, 2, count_all=True)
-    monkeypatch.setattr(search_mod, "POOL_CAP", 1)
-    streamed_found = search_constant_rank(gf2, 3, 3, 2, 4)
-    streamed_count = search_constant_rank(gf3, 2, 2, 2, 2, count_all=True)
-    assert streamed_found.witness == pooled_found.witness
-    assert streamed_found.nodes_explored == pooled_found.nodes_explored
-    assert streamed_count.found_count == pooled_count.found_count
+@pytest.mark.parametrize("field,m,n,r,dim,count_all", [
+    ((2,), 3, 3, 2, 4, False),
+    ((2,), 2, 3, 2, 3, True),
+    ((3,), 2, 3, 2, 3, False),
+    ((3,), 2, 2, 2, 2, True),
+    ((2, 2), 2, 3, 2, 3, False),
+    ((2, 2), 2, 2, 2, 2, True),
+], ids=["GF(2)-find", "GF(2)-all", "GF(3)-find", "GF(3)-all", "GF(4)-find",
+        "GF(4)-all"])
+def test_streamed_pool_matches_in_memory_pool(field, m, n, r, dim, count_all,
+                                              monkeypatch):
+    F = make_field(*field)
+    pooled = search_constant_rank(F, m, n, r, dim, count_all=count_all)
+    # Without a rank table, candidates and coset checks are ranked by
+    # rank_batch: first with the candidates kept in memory (the cap
+    # admits every scalar class but not every matrix), then streamed.
+    classes = (F.q ** (m * n) - 1) // (F.q - 1)
+    for cap, in_memory in ((classes, True), (1, False)):
+        monkeypatch.setattr(search_mod, "POOL_CAP", cap)
+        engine = search_mod._Engine(F, m, n, r, dim, 1, count_all)
+        assert engine.table is None
+        assert (engine.codes is not None) == in_memory
+        out = search_constant_rank(F, m, n, r, dim, count_all=count_all)
+        assert out.status is pooled.status is SearchStatus.FOUND
+        assert out.witness == pooled.witness
+        assert out.nodes_explored == pooled.nodes_explored
+        assert out.found_count == pooled.found_count
+
+
+def test_stream_handles_codes_wider_than_64_bits(gf2):
+    # 8x8 codes run up to 2^64; the first two candidates form the span
+    out = search_constant_rank(gf2, 8, 8, 1, 2)
+    assert out.status is SearchStatus.FOUND
+    assert out.nodes_explored == 2
+    rows = [B.entries for B in out.witness.basis]
+    assert rows == [(0,) * 63 + (1,), (0,) * 62 + (1, 0)]
+
+
+# Recorded from the search before every field went through one engine on
+# base-q codes, when fields other than GF(2) used a separate engine on
+# entry tuples: (field, m, n, r, dim, count_all, budget) -> status, nodes,
+# found_count and witness entries.
+_NON_BINARY_PINS = [
+    ((2, 2), 2, 2, 2, 2, False, None, "found", 6, 1,
+     [(0, 1, 1, 0), (1, 0, 1, 2)]),
+    ((2, 2), 2, 2, 2, 2, True, None, "found", 204, 72,
+     [(0, 1, 1, 0), (1, 0, 1, 2)]),
+    ((2, 2), 2, 2, 1, 3, True, None, "exhausted-none", 91, 0, None),
+    ((2, 2), 2, 3, 2, 3, False, None, "found", 376, 1,
+     [(0, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 0), (1, 0, 0, 0, 0, 2)]),
+    ((2, 2), 2, 3, 2, 3, False, 375, "budget-exceeded", 375, 0, None),
+    ((2, 2), 2, 3, 1, 3, True, None, "found", 1823, 5,
+     [(0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0)]),
+    ((2, 2), 2, 3, 2, 2, True, None, "found", 76860, 61992,
+     [(0, 0, 1, 0, 1, 0), (0, 1, 0, 0, 1, 2)]),
+    ((2, 2), 2, 3, 2, 3, True, 10000, "budget-exceeded", 10000, 2754,
+     [(0, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 0), (1, 0, 0, 0, 0, 2)]),
+    ((5,), 2, 2, 2, 2, False, None, "found", 3, 1,
+     [(0, 1, 1, 0), (1, 0, 0, 2)]),
+    ((5,), 2, 2, 2, 2, True, None, "found", 520, 200,
+     [(0, 1, 1, 0), (1, 0, 0, 2)]),
+    ((5,), 2, 2, 2, 3, False, None, "exhausted-none", 520, 0, None),
+    ((5,), 2, 3, 2, 3, False, None, "found", 1229, 1,
+     [(0, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 0), (1, 0, 0, 0, 1, 2)]),
+    ((5,), 2, 3, 2, 3, False, 500, "budget-exceeded", 500, 0, None),
+    ((5,), 2, 3, 1, 2, True, None, "found", 2697, 217,
+     [(0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, 0)]),
+    ((5,), 2, 3, 2, 2, True, 30000, "budget-exceeded", 30000, 25375,
+     [(0, 0, 1, 0, 1, 0), (0, 1, 0, 0, 0, 2)]),
+]
+
+
+@pytest.mark.parametrize(
+    "field,m,n,r,dim,count_all,budget,status,nodes,found,witness",
+    _NON_BINARY_PINS,
+    ids=[f"GF({make_field(*f).q})-{m}x{n}-r{r}-d{d}-"
+         + ("all" if a else "find") + ("" if b is None else f"-budget{b}")
+         for f, m, n, r, d, a, b, *_ in _NON_BINARY_PINS])
+def test_non_binary_accounting_is_pinned(field, m, n, r, dim, count_all,
+                                         budget, status, nodes, found,
+                                         witness):
+    kwargs = {"count_all": count_all}
+    if budget is not None:
+        kwargs["budget"] = budget
+    out = search_constant_rank(make_field(*field), m, n, r, dim, **kwargs)
+    assert out.status.value == status
+    assert out.nodes_explored == nodes
+    assert out.found_count == found
+    got = None if out.witness is None else [B.entries for B in out.witness.basis]
+    assert got == witness
 
 
 def test_search_validation(gf2):

@@ -13,6 +13,7 @@ from constrank import (
     ParseError,
     ShapeMismatch,
     SubspaceBasis,
+    UsageError,
     ZeroSpan,
     enumerate_elements,
     is_constant_rank,
@@ -55,7 +56,11 @@ def test_make_subspace_rejects_degenerate_input(gf2):
 
 def test_subspace_basis_requires_independence(gf2):
     I = MatGF.identity(gf2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
+        SubspaceBasis([I, I])
+    with pytest.raises(UsageError):
+        SubspaceBasis([I, I.scale(1), MatGF.zero(gf2, 2, 2)])
+    with pytest.raises(ValueError):     # UsageError is also a ValueError
         SubspaceBasis([I, I])
 
 
