@@ -39,8 +39,10 @@ from .subspace import (
     DEFAULT_ENUMERATION_BUDGET,
     SubspaceBasis,
     _check_budget,
+    _class_ranges,
     _matrix_of,
     _ranked_blocks,
+    _span_blocks,
     rank_profile,
 )
 
@@ -205,17 +207,19 @@ def check_image_of_kernel(S: SubspaceBasis, *, sample: int | None = None,
             f"got {S.m}x{S.n}"
         )
     F = S.field
-    n = S.n
+    q, n, d = F.q, S.n, S.d
     _check_budget(S, budget)
 
+    # the maximal rank and its count, one element per scalar class
     max_rank = 0
-    max_count = 0
-    for _, ranks in _ranked_blocks(S):
+    max_classes = 0
+    for _, ranks in _ranked_blocks(S, _class_ranges(S)):
         top = int(ranks.max())
         if top > max_rank:
-            max_rank, max_count = top, 0
+            max_rank, max_classes = top, 0
         if top == max_rank:
-            max_count += int(np.count_nonzero(ranks == top))
+            max_classes += int(np.count_nonzero(ranks == top))
+    max_count = max_classes * (q - 1)
 
     sampled = sample is not None and sample < max_count
     if sampled:
@@ -225,13 +229,21 @@ def check_image_of_kernel(S: SubspaceBasis, *, sample: int | None = None,
     else:
         chosen = None
 
+    nonzero = [(1, q ** d)]
+    if max_count == q ** d - 1:
+        # every element has the maximal rank: select without ranking again
+        selection = ((block, np.arange(len(block)))
+                     for block in _span_blocks(S, nonzero))
+    else:
+        selection = ((block, np.flatnonzero(ranks == max_rank))
+                     for block, ranks in _ranked_blocks(S, nonzero))
+
     ar = F.arrays
     basis = _basis_codes(S)
     violations: list[tuple[MatGF, MatGF, MatGF]] = []
     elements_checked = 0
     seen = 0
-    for block, ranks in _ranked_blocks(S):
-        hit = np.flatnonzero(ranks == max_rank)
+    for block, hit in selection:
         if chosen is not None:
             ordinals = np.arange(seen, seen + len(hit))
             seen += len(hit)
@@ -254,7 +266,7 @@ def check_image_of_kernel(S: SubspaceBasis, *, sample: int | None = None,
     return ImageOfKernelReport(
         max_rank=max_rank,
         elements_checked=elements_checked,
-        triples_checked=elements_checked * (n - max_rank) * S.d,
+        triples_checked=elements_checked * (n - max_rank) * d,
         sampled=sampled,
         violations=tuple(violations),
     )

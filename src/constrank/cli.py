@@ -16,6 +16,7 @@ inputs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -121,6 +122,7 @@ def _field_type(text: str) -> FieldSpec:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="constrank",

@@ -390,7 +390,9 @@ def search_constant_rank(F: FieldSpec, m: int, n: int, r: int,
     if res.witness_chain is not None:
         witness = SubspaceBasis([MatGF(F, m, n, ent)
                                  for ent in res.witness_chain])
-        ok, bad = is_constant_rank(witness, r)
+        # the traversal already checked every element of the witness span,
+        # so its size is not held to the enumeration budget
+        ok, bad = is_constant_rank(witness, r, budget=F.q ** target_dim)
         if not ok or witness.d != target_dim:
             raise InternalVerificationFailed(
                 f"search produced an invalid witness (offender {bad!r})"

@@ -3,6 +3,16 @@
 A SubspaceBasis holds linearly independent matrices of one shape over one
 field.  Enumeration walks coefficient vectors in lexicographic order, so the
 first witness returned by is_constant_rank is the same on every run.
+
+Ranks are taken one element per scalar class: rank(cA) = rank(A) for every
+non-zero scalar c, so the rank walks visit only the (q^d - 1)/(q - 1)
+elements whose leading (first non-zero) coefficient is 1, in coefficient
+lexicographic order, and rank_profile multiplies their counts by q - 1.
+The first offender c found this way is also the first one among all
+elements: c divided by its leading coefficient lies in the same class, so
+it offends too, and it is not after c in lexicographic order; being the
+first, c equals it and already leads with 1.  Budgets still count all q^d
+elements.
 """
 
 from __future__ import annotations
@@ -227,18 +237,40 @@ def _combinations(ar: FieldArrays, basis: list[np.ndarray], q: int, lo: int,
     return ar.add(prefix[head - head[0]], term)
 
 
-def _span_blocks(S: SubspaceBasis, start: int = 0) -> Iterator[np.ndarray]:
-    """Span elements from index start on, as (N, m, n) blocks of codes."""
+def _class_ranges(S: SubspaceBasis) -> list[tuple[int, int]]:
+    """Index ranges of one element per scalar class of the non-zero span
+    elements: [q^j, 2q^j) for j = 0..d-1, the indices whose leading
+    coefficient is 1, ascending and so in coefficient lexicographic order.
+    """
+    q = S.field.q
+    return [(q ** j, 2 * q ** j) for j in range(S.d)]
+
+
+def _span_blocks(S: SubspaceBasis,
+                 ranges: list[tuple[int, int]]) -> Iterator[np.ndarray]:
+    """Span elements whose indices run through the given ascending ranges,
+    as (N, m, n) blocks of codes.
+
+    Block sizes double over the joined ranges, so a block may end partway
+    through one range and continue into the next.
+    """
     F = S.field
     basis = [np.array(B.entries, dtype=np.int32) for B in S.basis]
-    total = F.q ** S.d
     size = _BLOCK_START
-    lo = start
-    while lo < total:
-        hi = min(lo + size, total)
-        yield _combinations(F.arrays, basis, F.q, lo, hi).reshape(-1, S.m, S.n)
-        lo = hi
-        size = min(2 * size, _BLOCK_CAP)
+    parts: list[np.ndarray] = []
+    have = 0
+    for lo, hi in ranges:
+        while lo < hi:
+            step = min(size - have, hi - lo)
+            parts.append(_combinations(F.arrays, basis, F.q, lo, lo + step))
+            have += step
+            lo += step
+            if have == size:
+                yield np.concatenate(parts).reshape(-1, S.m, S.n)
+                parts, have = [], 0
+                size = min(2 * size, _BLOCK_CAP)
+    if parts:
+        yield np.concatenate(parts).reshape(-1, S.m, S.n)
 
 
 def _matrix_of(S: SubspaceBasis, codes: np.ndarray) -> MatGF:
@@ -254,16 +286,17 @@ def enumerate_elements(S: SubspaceBasis, *,
     _check_budget(S, budget)
 
     def gen() -> Iterator[MatGF]:
-        for block in _span_blocks(S):
+        for block in _span_blocks(S, [(0, S.field.q ** S.d)]):
             for codes in block:
                 yield _matrix_of(S, codes)
 
     return gen()
 
 
-def _ranked_blocks(S: SubspaceBasis) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(codes, ranks) blocks of the non-zero span elements, in order."""
-    for block in _span_blocks(S, 1):
+def _ranked_blocks(S: SubspaceBasis, ranges: list[tuple[int, int]]
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(codes, ranks) blocks of the span elements in ranges, in order."""
+    for block in _span_blocks(S, ranges):
         yield block, rank_batch(S.field, block)
 
 
@@ -310,10 +343,11 @@ def rank_profile(S: SubspaceBasis, *,
             cur ^= packed[(k & -k).bit_length() - 1]
             counts[table[cur]] += 1
     else:
+        # every scalar class holds q - 1 elements of one rank
         tally = np.zeros(len(counts), dtype=np.int64)
-        for _, ranks in _ranked_blocks(S):
+        for _, ranks in _ranked_blocks(S, _class_ranges(S)):
             tally += np.bincount(ranks, minlength=len(counts))
-        counts = tally.tolist()
+        counts = [c * (q - 1) for c in tally.tolist()]
     return RankProfile(q, d, (m, n), tuple(counts))
 
 
@@ -345,7 +379,9 @@ def is_constant_rank(S: SubspaceBasis, r: int, *,
                 ent = tuple((cur >> (mn - 1 - t)) & 1 for t in range(mn))
                 return False, MatGF(F, m, n, ent)
         return True, None
-    for block, ranks in _ranked_blocks(S):
+    # the first offender leads with coefficient 1 (see the module
+    # docstring), so it is the first offending class representative
+    for block, ranks in _ranked_blocks(S, _class_ranges(S)):
         bad = ranks != r
         if bad.any():
             return False, _matrix_of(S, block[bad.argmax()])

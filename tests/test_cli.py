@@ -241,6 +241,32 @@ def test_usage_errors_exit_two(argv, capsys):
     capsys.readouterr()
 
 
+def test_parser_built_once_gives_first_call_results(tmp_path, capsys):
+    target = tmp_path / "mixed.txt"
+    _write_mixed_rank_file(target)
+    calls = [
+        ["construct", "--field", "GF(2)", "--shape", "2by2", "--rank", "1"],
+        ["--help"],
+        ["verify", "--input", str(target), "--rank", "2"],
+        ["search", "--field", "GF(2)", "--shape", "3x3", "--rank", "2",
+         "--dim", "4"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = []
+    for argv in calls:
+        cli_mod._build_parser.cache_clear()
+        first.append(run(argv))
+    assert [code for code, _, _ in first] == [2, 0, 1, 0]
+    cli_mod._build_parser.cache_clear()
+    assert [run(argv) for argv in calls] == first
+    assert cli_mod._build_parser.cache_info().misses == 1
+
+
 def test_reports_are_byte_stable(tmp_path, capsys):
     target = tmp_path / "mixed.txt"
     _write_mixed_rank_file(target)

@@ -19,13 +19,16 @@ from constrank import (
     MatGF,
     SubspaceBasis,
     check_image_of_kernel,
+    enumerate_elements,
     is_constant_rank,
     make_field,
     make_subspace,
     parse_subspace,
     rank_profile,
     regular_representation,
+    truncated_construction,
 )
+import constrank.subspace as subspace_mod
 from constrank.matrix import _kernel_batch, _rank_table, rank_batch, rref_batch
 from constrank.subspace import _BLOCK_CAP, _BLOCK_START
 from conftest import ref_rank, ref_rref
@@ -194,12 +197,21 @@ def test_span_statistics_match_per_element_reference(pe):
 # witnesses at block boundaries
 # ---------------------------------------------------------------------------
 
-def _block_starts(total: int) -> list[int]:
-    starts, size, lo = [], _BLOCK_START, 1
-    while lo < total:
-        starts.append(lo)
-        lo += size
+def _block_sizes(count: int) -> list[int]:
+    """Sizes of the blocks a walk over count span elements ranks."""
+    sizes, size = [], _BLOCK_START
+    while count > 0:
+        sizes.append(min(size, count))
+        count -= sizes[-1]
         size = min(2 * size, _BLOCK_CAP)
+    return sizes
+
+
+def _block_starts(total: int) -> list[int]:
+    """First element index of each block of the walk over indices 1..total-1."""
+    starts = [1]
+    for size in _block_sizes(total - 1)[:-1]:
+        starts.append(starts[-1] + size)
     return starts
 
 
@@ -355,3 +367,194 @@ def test_image_of_kernel_golden_across_blocks(sample, expected):
     digest = hashlib.sha1(repr(violations).encode()).hexdigest()
     assert (max_rank, elements, triples, rep.sampled, len(violations),
             digest) == expected
+
+
+# ---------------------------------------------------------------------------
+# one rank per scalar class, against per-element references
+# ---------------------------------------------------------------------------
+
+# (field, span dimension): each dimension puts a range start of the class
+# walk strictly inside one of its blocks
+CLASS_CASES = [((3, 1), 6), ((2, 2), 5), ((5, 1), 5), ((7, 1), 4),
+               ((3, 2), 4), ((257, 1), 2), ((2, 9), 2)]
+
+
+def _case_id(case) -> str:
+    return f"{_field_id(case[0])}-d{case[1]}"
+
+
+def _ref_ranked(S):
+    """(element, rank) of the non-zero span elements from
+    enumerate_elements, each ranked by the scalar reference."""
+    for k, A in enumerate(enumerate_elements(S)):
+        if k:
+            yield A, ref_rank(S.field, A.rows_as_lists())
+
+
+def _ref_profile(S) -> tuple[int, ...]:
+    counts = [0] * (min(S.m, S.n) + 1)
+    for _, rank in _ref_ranked(S):
+        counts[rank] += 1
+    return tuple(counts)
+
+
+def _ref_verify(S, r):
+    """(index, element) of the first non-zero element whose rank is not r."""
+    for k, (A, rank) in enumerate(_ref_ranked(S), start=1):
+        if rank != r:
+            return k, A
+    return None
+
+
+def _class_targets(q: int, d: int) -> dict[str, int]:
+    """Element indices at which to place a first offender: q^j and
+    2q^j - 1 for every j, and, for each block of the class walk that
+    straddles two ranges [q^j, 2q^j), one index in it past the range start."""
+    reps = [k for j in range(d) for k in range(q ** j, 2 * q ** j)]
+    range_starts = [sum(q ** i for i in range(j)) for j in range(1, d)]
+    targets = {}
+    for j in range(d):
+        targets[f"q^{j}"] = q ** j
+        targets[f"2q^{j}-1"] = 2 * q ** j - 1
+    lo = 0
+    for size in _block_sizes(len(reps)):
+        for pos in range_starts:
+            if lo < pos < lo + size:
+                targets[f"straddle {pos}"] = reps[(pos + lo + size) // 2]
+        lo += size
+    return targets
+
+
+@pytest.mark.parametrize("case", CLASS_CASES, ids=_case_id)
+def test_class_walk_first_offender_at_range_edges(case):
+    pe, d = case
+    F = make_field(*pe)
+    q = F.q
+    targets = _class_targets(q, d)
+    assert any(where.startswith("straddle") for where in targets)
+    rng = random.Random(f"classes:{pe}")
+    for where, target in targets.items():
+        S = _perturbed_span(F, d, target, rng)
+        ok, witness = is_constant_rank(S, 2)
+        index, ref = _ref_verify(S, 2)
+        assert index == target, where
+        assert not ok and witness == ref, where
+        # rank 1 exactly on the q - 1 multiples of the target element
+        profile = rank_profile(S).counts
+        assert profile == (0, q - 1, q ** d - q), where
+        if q ** d <= 1024:
+            assert profile == _ref_profile(S), where
+        ok, witness = is_constant_rank(S, 1)
+        assert not ok and witness == _ref_verify(S, 1)[1], where
+
+
+@pytest.mark.parametrize("pe", [c[0] for c in CLASS_CASES if c[0][0] ** c[0][1] < 16],
+                         ids=_field_id)
+def test_class_walk_matches_per_element_reference(pe):
+    F = make_field(*pe)
+    rng = random.Random(f"class spans:{pe}")
+    for m, n, d in [(2, 2, 3), (2, 3, 3), (3, 3, 2), (1, 3, 3)]:
+        S = _random_span(F, m, n, d, rng)
+        profile = rank_profile(S)
+        assert profile.counts == _ref_profile(S), (m, n, d)
+        for r in range(1, min(m, n) + 1):
+            ref = _ref_verify(S, r)
+            ok, witness = is_constant_rank(S, r)
+            assert ok == (ref is None) == (profile.constant_rank_of() == r)
+            assert witness == (None if ref is None else ref[1]), (m, n, d, r)
+
+
+@pytest.mark.parametrize("case", CLASS_CASES, ids=_case_id)
+def test_class_walk_ranks_one_element_per_class(case, monkeypatch):
+    calls = []
+
+    def counting(F, codes):
+        calls.append(len(codes))
+        return rank_batch(F, codes)
+
+    monkeypatch.setattr(subspace_mod, "rank_batch", counting)
+    pe, d_max = case
+    F = make_field(*pe)
+    q = F.q
+    rng = random.Random(f"class calls:{pe}")
+    for d in range(1, min(d_max, 3) + 1):
+        S = _random_span(F, 2, 2, d, rng)
+        classes = (q ** d - 1) // (q - 1)
+        calls.clear()
+        rank_profile(S)
+        assert calls == _block_sizes(classes)
+        assert len(calls) <= len(_block_sizes(q ** d - 1))
+        # every non-zero 1-by-d matrix has rank 1, so the walk runs to its end
+        units = SubspaceBasis([MatGF(F, 1, d, [int(i == j) for j in range(d)])
+                               for i in range(d)])
+        calls.clear()
+        assert is_constant_rank(units, 1) == (True, None)
+        assert calls == _block_sizes(classes)
+
+
+def _ref_image_of_kernel(S, sample, seed):
+    """(_report, sampled) of check_image_of_kernel, element by element:
+    rank every element, pick the maximal-rank ones (a seeded sample of them, in
+    enumeration order), and test each kernel vector u against each basis
+    matrix B by whether appending the column Bu keeps the rank of A."""
+    F, n = S.field, S.n
+    ranked = list(_ref_ranked(S))
+    max_rank = max(rank for _, rank in ranked)
+    top = [A for A, rank in ranked if rank == max_rank]
+    picked = range(len(top))
+    sampled = sample is not None and sample < len(top)
+    if sampled:
+        picked = sorted(random.Random(seed).sample(picked, sample))
+    violations = []
+    for i in picked:
+        rows = top[i].rows_as_lists()
+        for u in _ref_kernel(F, rows):
+            for B in S.basis:
+                Bu = [0] * n
+                for a, row in enumerate(B.rows_as_lists()):
+                    for x, y in zip(row, u):
+                        Bu[a] = F.add(Bu[a], F.mul(x, y))
+                aug = [row + [x] for row, x in zip(rows, Bu)]
+                if ref_rank(F, aug) != max_rank:
+                    violations.append((top[i].entries, tuple(u), B.entries))
+    return (max_rank, len(picked), len(picked) * (n - max_rank) * S.d,
+            violations), sampled
+
+
+def _diagonal_pencil(F, extra: bool) -> SubspaceBasis:
+    """diag(a + l_0 b, ..., a + l_(q-1) b, b) over the q scalars l_i.
+
+    For (a, b) != 0 exactly one diagonal entry, say entry k, vanishes, so
+    the span has constant rank r = q, out of reach of the q >= r + 1
+    hypothesis: its kernel vector e_k is sent out of the image by every
+    diagonal basis matrix whose entry k is non-zero.  With extra, E_01
+    joins the basis: the elements stay singular upper triangular
+    matrices, and c E_01 has rank 1.
+    """
+    n = F.q + 1
+    diag = [[1] * F.q + [0], list(range(F.q)) + [1]]
+    basis = [MatGF(F, n, n, [x[i] if i == j else 0
+                             for i in range(n) for j in range(n)])
+             for x in diag]
+    if extra:
+        basis.append(MatGF(F, n, n, [int(k == 1) for k in range(n * n)]))
+    return SubspaceBasis(basis)
+
+
+@pytest.mark.parametrize("pe", [c[0] for c in CLASS_CASES if c[0][0] ** c[0][1] < 16],
+                         ids=_field_id)
+def test_image_of_kernel_matches_per_element_reference(pe):
+    F = make_field(*pe)
+    spans = {
+        "full rank": regular_representation(F, 3),
+        "constant rank 1": truncated_construction(F, 3, 3, 1),
+        "constant rank q": _diagonal_pencil(F, False),
+        "mixed rank": _diagonal_pencil(F, True),
+    }
+    for where, S in spans.items():
+        for sample, seed in [(None, 0), (3, 5), (10 ** 6, 1)]:
+            rep = check_image_of_kernel(S, sample=sample, seed=seed)
+            assert (_report(rep), rep.sampled) == \
+                _ref_image_of_kernel(S, sample, seed), (where, sample)
+        if where in ("constant rank q", "mixed rank"):
+            assert rep.violations, where

@@ -164,6 +164,15 @@ def test_parallel_find_stops_the_chunks_after_it(gf2):
     assert multi.nodes_explored == base.nodes_explored == 10680
 
 
+def test_witness_larger_than_the_enumeration_budget_is_verified():
+    # the witness span has 2^32 elements, above the default enumeration
+    # budget; verifying it ranks its 65,537 scalar classes
+    F = make_field(2, 16)
+    out = search_constant_rank(F, 1, 2, 1, 2)
+    assert out.status is SearchStatus.FOUND
+    assert out.witness.d == 2
+
+
 def test_worker_count_is_capped_at_cores(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert search_mod._worker_count(8, 100) == 2
