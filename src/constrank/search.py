@@ -20,9 +20,9 @@ check reads a rank table indexed by code when there are at most POOL_CAP
 codes; in characteristic 2 the sum of two codes is then their XOR.
 
 brute_force_census enumerates ALL subspaces of a given dimension via
-reduced-echelon representatives and counts the constant-rank ones; it is
-deliberately independent of the pruned search so the two can check each
-other.
+reduced-echelon bases, in numpy blocks for every field (XOR of codes in
+characteristic 2), and counts the constant-rank ones; it shares no
+traversal code with the pruned search so the two can check each other.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import os
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .errors import (
     UsageError,
 )
 from .field import FieldSpec
-from .matrix import MatGF, _code_digits, _rank_rows, _rank_table, rank_batch
+from .matrix import MatGF, _code_digits, _rank_table, rank_batch
 from .subspace import SubspaceBasis, is_constant_rank
 
 __all__ = [
@@ -453,6 +453,10 @@ def _run_chunked(F, m, n, r, target_dim, pool_len, budget, workers, count_all):
 # brute-force oracle
 # ---------------------------------------------------------------------------
 
+# free-entry assignments per census block
+_CENSUS_BLOCK = 1 << 16
+
+
 def gaussian_binomial(q: int, N: int, k: int) -> int:
     """Number of k-dimensional subspaces of an N-dimensional space over a
     field with q elements; exact integer."""
@@ -469,10 +473,19 @@ def gaussian_binomial(q: int, N: int, k: int) -> int:
 def brute_force_census(F: FieldSpec, m: int, n: int, r: int, dim: int, *,
                        budget: int = DEFAULT_CENSUS_BUDGET) -> int:
     """Count dim-dimensional constant rank r spans of m-by-n matrices by
-    enumerating every subspace via its reduced-echelon representative.
+    enumerating every subspace via its reduced-echelon basis.
 
-    Completely independent of the pruned search; refuses to start when
-    the subspace count (the Gaussian binomial) exceeds the budget.
+    For each pivot pattern the free-entry assignments lie along one numpy
+    axis, in blocks of at most _CENSUS_BLOCK.  The coefficient vectors
+    with leading coefficient 1 are taken in ascending order, and a block
+    keeps only the subspaces whose combinations so far have rank r; a
+    basis matrix is built when first needed, for those subspaces only.
+    With a rank table in characteristic 2, c B is a code built with
+    shifts and a combination is an XOR of codes; otherwise digit rows are
+    summed through the field arrays and ranked by the table or by
+    rank_batch.  No traversal code is shared with the search.  Refuses to
+    start when the subspace count (the Gaussian binomial) exceeds the
+    budget.
     """
     if not (1 <= r <= min(m, n)):
         raise ShapeViolation(f"rank {r} outside 1..{min(m, n)}")
@@ -487,99 +500,64 @@ def brute_force_census(F: FieldSpec, m: int, n: int, r: int, dim: int, *,
         raise BudgetExceeded(
             f"census over {total} subspaces exceeds the budget {budget}"
         )
-    if q == 2 and mn <= 16:
-        return _census_gf2_packed(F, m, n, r, dim)
-    return _census_generic(F, m, n, r, dim)
+    table = None
+    if q ** mn <= POOL_CAP:
+        table = np.frombuffer(_rank_table(F, m, n), dtype=np.uint8)
+    xor = table is not None and F.p == 2
+    ar = F.arrays
+    weights = q ** np.arange(mn - 1, -1, -1, dtype=np.int64)
 
+    def coefficient_vectors():
+        # leading coefficient 1, ascending
+        for j in range(dim - 1, -1, -1):
+            for tail in itertools.product(range(q), repeat=dim - 1 - j):
+                yield (0,) * j + (1,) + tail
 
-def _census_gf2_packed(F: FieldSpec, m: int, n: int, r: int, dim: int) -> int:
-    """Vectorized GF(2) census: for each pivot pattern, all free-entry
-    assignments are laid out along a numpy axis and every nonzero basis
-    combination is rank-checked through the packed rank table."""
-    mn = m * n
-    table = np.frombuffer(_rank_table(F, m, n), dtype=np.uint8)
+    def build(pivot, own, x, values):
+        # the codes of x B, or the digit rows of B, for the basis matrix B
+        # whose entry t is digit k of the assignment for each (t, k) in own
+        if xor:
+            times_x = ar.mul(x, np.arange(q))
+            part = np.full(len(values), x * weights[pivot])
+            for t, k in own:
+                part |= times_x[values >> F.e * k & (q - 1)] * weights[t]
+            return part
+        part = np.zeros((mn, len(values)), dtype=np.int32)
+        part[pivot] = 1
+        for t, k in own:
+            part[t] = values // q ** k % q
+        return part
+
     count = 0
-    for combo in itertools.combinations(range(mn), dim):
-        pivot_set = set(combo)
-        free = [
-            (i, t)
-            for i in range(dim)
-            for t in range(combo[i] + 1, mn)
-            if t not in pivot_set
-        ]
-        f = len(free)
-        assignments = np.arange(1 << f, dtype=np.uint32)
-        words = [
-            np.full(1 << f, 1 << (mn - 1 - combo[i]), dtype=np.uint32)
-            for i in range(dim)
-        ]
-        for b, (i, t) in enumerate(free):
-            words[i] |= ((assignments >> b) & 1) << (mn - 1 - t)
-        ok = np.ones(1 << f, dtype=bool)
-        cur = np.zeros(1 << f, dtype=np.uint32)
-        for s in range(1, 1 << dim):
-            cur ^= words[(s & -s).bit_length() - 1]
-            ok &= table[cur] == r
-            if not ok.any():
-                break
-        count += int(ok.sum())
+    for pivots in itertools.combinations(range(mn), dim):
+        free = [(i, t) for i in range(dim) for t in range(pivots[i] + 1, mn)
+                if t not in pivots]
+        own = [[(t, len(free) - 1 - b) for b, (j, t) in enumerate(free)
+                if j == i] for i in range(dim)]
+        size = q ** len(free)
+        for lo in range(0, size, _CENSUS_BLOCK):
+            values = np.arange(lo, min(lo + _CENSUS_BLOCK, size))
+            parts = {}
+            for c in coefficient_vectors():
+                terms = []
+                for i, x in enumerate(c):
+                    if not x:
+                        continue
+                    key = (i, x) if xor else i
+                    if key not in parts:
+                        parts[key] = build(pivots[i], own[i], x, values)
+                    terms.append(parts[key] if xor or x == 1
+                                 else ar.mul(x, parts[key]))
+                elem = reduce(ar.add, terms)   # XOR if p = 2
+                if table is None:
+                    ranks = rank_batch(F, elem.T.reshape(-1, m, n))
+                else:
+                    ranks = table[elem if xor else weights @ elem]
+                keep = ranks == r
+                if not keep.all():
+                    values = values[keep]
+                    parts = {key: p[..., keep] for key, p in parts.items()}
+                    if not len(values):
+                        break
+            count += len(values)
     return count
-
-
-def _census_generic(F: FieldSpec, m: int, n: int, r: int, dim: int) -> int:
-    """Per-pattern odometer enumeration with early-exit rank checking."""
-    q = F.q
-    mn = m * n
-    count = 0
-    # one coefficient vector per scalar class: first nonzero entry 1
-    coeff_reps = [c for c in itertools.product(range(q), repeat=dim)
-                  if any(c) and next(x for x in c if x) == 1]
-    for combo in itertools.combinations(range(mn), dim):
-        pivot_set = set(combo)
-        free = [
-            (i, t)
-            for i in range(dim)
-            for t in range(combo[i] + 1, mn)
-            if t not in pivot_set
-        ]
-        base = [[0] * mn for _ in range(dim)]
-        for i in range(dim):
-            base[i][combo[i]] = 1
-        for assignment in itertools.product(range(q), repeat=len(free)):
-            rows = [list(b) for b in base]
-            for (i, t), v in zip(free, assignment):
-                rows[i][t] = v
-            if _constant_rank_span(F, rows, m, n, r, coeff_reps):
-                count += 1
-    return count
-
-
-def _constant_rank_span(F: FieldSpec, rows, m: int, n: int, r: int,
-                        coeff_reps) -> bool:
-    """Whether every nonzero combination of the rows has rank r (one
-    scalar-class representative per combination suffices)."""
-    q = F.q
-    mf = F._mul_flat
-    af = F._add_flat
-    mn = m * n
-    for coeffs in coeff_reps:
-        elem = [0] * mn
-        if mf is not None:
-            for c, row in zip(coeffs, rows):
-                if c:
-                    cq = c * q
-                    for t in range(mn):
-                        x = row[t]
-                        if x:
-                            elem[t] = af[elem[t] * q + mf[cq + x]]
-        else:
-            for c, row in zip(coeffs, rows):
-                if c:
-                    for t in range(mn):
-                        x = row[t]
-                        if x:
-                            elem[t] = F.add(elem[t], F.mul(c, x))
-        mat_rows = [elem[i * n: (i + 1) * n] for i in range(m)]
-        if _rank_rows(F, mat_rows) != r:
-            return False
-    return True

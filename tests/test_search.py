@@ -8,8 +8,12 @@ main correctness evidence for both.
 
 from __future__ import annotations
 
+import collections
+import functools
+import itertools
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -24,6 +28,7 @@ from constrank import (
     make_field,
     search_constant_rank,
 )
+from conftest import ref_rank
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -290,7 +295,7 @@ def test_search_validation(gf2):
         search_constant_rank(gf2, 2, 2, 1, 1, workers=0)
 
 
-def test_census_frozen_values(gf2, gf3):
+def test_census_frozen_values(gf2, gf3, gf4, gf5):
     assert brute_force_census(gf2, 1, 1, 1, 1) == 1
     assert brute_force_census(gf2, 2, 2, 2, 1) == 6      # |GL_2(F_2)|
     assert brute_force_census(gf3, 2, 2, 2, 1) == 24     # 48 / (3 - 1)
@@ -301,26 +306,108 @@ def test_census_frozen_values(gf2, gf3):
     assert brute_force_census(gf2, 3, 3, 2, 4) == 1176
     assert brute_force_census(gf2, 3, 3, 2, 5) == 0
     assert brute_force_census(gf2, 2, 2, 1, 5) == 0      # dim beyond m*n
+    assert brute_force_census(gf4, 2, 3, 2, 3) == 57600
+    assert brute_force_census(gf5, 2, 3, 2, 2) == 378200
 
 
-def test_census_dimension_one_counts_scalar_classes(gf3):
+_SMALL_SHAPES = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3))
+_DIMENSION_ONE = [
+    ((2,), _SMALL_SHAPES), ((3,), _SMALL_SHAPES), ((2, 2), _SMALL_SHAPES),
+    ((5,), _SMALL_SHAPES), ((7,), _SMALL_SHAPES), ((2, 3), _SMALL_SHAPES),
+    ((3, 2), _SMALL_SHAPES), ((257,), ((1, 2),)), ((2, 9), ((1, 2),)),
+]
+
+
+@pytest.mark.parametrize(
+    "field,shapes", _DIMENSION_ONE,
+    ids=[f"GF({make_field(*f).q})" for f, _ in _DIMENSION_ONE])
+def test_census_dimension_one_counts_scalar_classes(field, shapes):
     # one-dimensional spans of constant rank r are projective classes of
-    # rank r matrices, so q - 1 matrices per span
-    rank1 = sum(
-        1
-        for code in range(1, 3 ** 4)
-        if _rank_of_code(gf3, code) == 1
-    )
-    assert brute_force_census(gf3, 2, 2, 1, 1) == rank1 // 2
+    # rank r matrices, so q - 1 matrices per span; there are
+    # N_r = prod_{i<r} (q^m - q^i)(q^n - q^i) / (q^r - q^i) of those
+    F = make_field(*field)
+    q = F.q
+    for m, n in shapes:
+        for r in range(1, m + 1):
+            matrices = 1
+            for i in range(r):
+                matrices *= (q ** m - q ** i) * (q ** n - q ** i)
+                matrices //= q ** r - q ** i
+            assert brute_force_census(F, m, n, r, 1) == matrices // (q - 1), \
+                (m, n, r)
 
 
-def _rank_of_code(F, code):
-    from constrank import MatGF
-    digits = []
-    for _ in range(4):
-        digits.append(code % F.q)
-        code //= F.q
-    return MatGF(F, 2, 2, digits).rank()
+@functools.lru_cache(maxsize=None)
+def _reference_census(field, m, n, dim):
+    """{r: number of dim-dimensional constant rank r spans}.
+
+    Every dim-subset of nonzero m-by-n matrices spans the set of its
+    element codes; the spans of independent subsets are deduplicated and
+    their elements ranked by plain elimination.
+    """
+    F = make_field(*field)
+    q = F.q
+    vectors = list(itertools.product(range(q), repeat=m * n))
+    code = {v: i for i, v in enumerate(vectors)}
+    rank = [ref_rank(F, [v[i * n:(i + 1) * n] for i in range(m)])
+            for v in vectors]
+    add = [[code[tuple(map(F.add, u, v))] for v in vectors] for u in vectors]
+    scale = [[code[tuple(F.mul(c, x) for x in v)] for v in vectors]
+             for c in range(q)]
+    spans = set()
+    for basis in itertools.combinations(range(1, len(vectors)), dim):
+        span = {0}
+        for b in basis:
+            span = {add[s][scale[c][b]] for s in span for c in range(q)}
+        if len(span) == q ** dim:
+            spans.add(frozenset(span))
+    counts = collections.Counter()
+    for span in spans:
+        ranks = {rank[x] for x in span if x}
+        if len(ranks) == 1:
+            counts[ranks.pop()] += 1
+    return counts
+
+
+# (field, m, n, largest dimension checked)
+_REFERENCE_BOXES = [
+    ((2,), 1, 3, 3), ((2,), 2, 2, 4), ((2,), 2, 3, 3),
+    ((3,), 1, 3, 3), ((3,), 2, 2, 2),
+    ((2, 2), 1, 3, 2), ((2, 2), 2, 2, 2),
+    ((5,), 1, 3, 2),
+    ((7,), 1, 2, 2), ((7,), 1, 3, 1),
+]
+
+
+@pytest.mark.parametrize("path", ["as-is", "no-table", "block-4"])
+@pytest.mark.parametrize(
+    "field,m,n,max_dim", _REFERENCE_BOXES,
+    ids=[f"GF({make_field(*f).q})-{m}x{n}" for f, m, n, _ in _REFERENCE_BOXES])
+def test_census_matches_reference(field, m, n, max_dim, path, monkeypatch):
+    if path == "no-table":
+        # digit rows ranked by rank_batch, also in characteristic 2
+        monkeypatch.setattr(search_mod, "POOL_CAP", 1)
+        monkeypatch.setattr(search_mod, "_rank_table", None)
+    elif path == "block-4":
+        # a pivot pattern's assignments split across blocks
+        monkeypatch.setattr(search_mod, "_CENSUS_BLOCK", 4)
+    F = make_field(*field)
+    for dim in range(1, max_dim + 1):
+        expected = _reference_census(field, m, n, dim)
+        for r in range(1, m + 1):
+            assert brute_force_census(F, m, n, r, dim) == expected[r], (r, dim)
+
+
+def test_census_memory_is_bounded_by_the_block(gf2):
+    # laying out all 2^20 assignments of a pivot pattern at once needs
+    # about 37 MB here
+    tracemalloc.start()
+    try:
+        assert brute_force_census(gf2, 3, 3, 1, 5) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_census_budget(gf2):
