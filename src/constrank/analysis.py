@@ -33,12 +33,11 @@ from .errors import (
     ZeroVector,
 )
 from .field import FieldArrays, FieldSpec
-from .matrix import MatGF, _kernel_batch, rank_batch
+from .matrix import MatGF, _code_digits, _kernel_batch, rank_batch
 from .subspace import (
     _BLOCK_CAP,
     DEFAULT_ENUMERATION_BUDGET,
     SubspaceBasis,
-    _check_budget,
     _class_ranges,
     _matrix_of,
     _ranked_blocks,
@@ -146,21 +145,15 @@ def _projective_blocks(field: FieldSpec, n: int):
     """One representative per scalar class of nonzero vectors in F^n, as
     (P, n) blocks of at most _BLOCK_CAP vectors.
 
-    Each representative has first nonzero entry 1, which makes it the
-    lexicographically least member of its class; the stream itself is
-    lexicographically increasing.
+    The representatives are the base-q digits of the codes in the class
+    ranges [q^j, 2q^j) of the span walk, so each has first nonzero entry
+    1, which makes it the lexicographically least member of its class;
+    the stream itself is lexicographically increasing.
     """
-    q = field.q
-    for lead in range(n - 1, -1, -1):
-        width = n - 1 - lead
-        total = q ** width
-        for lo in range(0, total, _BLOCK_CAP):
-            k = np.arange(lo, min(lo + _BLOCK_CAP, total))
-            U = np.zeros((len(k), n), dtype=np.int32)
-            U[:, lead] = 1
-            for t in range(width):
-                U[:, n - 1 - t] = (k // q ** t) % q
-            yield U
+    for lo, hi in _class_ranges(field.q, n):
+        for start in range(lo, hi, _BLOCK_CAP):
+            codes = np.arange(start, min(start + _BLOCK_CAP, hi))
+            yield _code_digits(codes, field.q, n)
 
 
 def _slice_dims(S: SubspaceBasis):
@@ -206,20 +199,13 @@ def check_image_of_kernel(S: SubspaceBasis, *, sample: int | None = None,
             f"the image containment check needs a square span, "
             f"got {S.m}x{S.n}"
         )
+    if sample is not None and sample < 1:
+        raise UsageError(f"sample must be at least 1, got {sample}")
     F = S.field
     q, n, d = F.q, S.n, S.d
-    _check_budget(S, budget)
-
-    # the maximal rank and its count, one element per scalar class
-    max_rank = 0
-    max_classes = 0
-    for _, ranks in _ranked_blocks(S, _class_ranges(S)):
-        top = int(ranks.max())
-        if top > max_rank:
-            max_rank, max_classes = top, 0
-        if top == max_rank:
-            max_classes += int(np.count_nonzero(ranks == top))
-    max_count = max_classes * (q - 1)
+    counts = rank_profile(S, budget=budget).counts
+    max_rank = max(s for s, c in enumerate(counts) if c)
+    max_count = counts[max_rank]
 
     sampled = sample is not None and sample < max_count
     if sampled:

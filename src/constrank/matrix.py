@@ -2,10 +2,11 @@
 
 Entries are stored row-major as field codes; a vector is the n-by-1 case.
 The echelon pivot order is fixed (leftmost non-zero column, topmost row) so
-kernel and image bases are reproducible.  GF(2) rows additionally pack into
-machine words for scalar ranks.  For small shapes _rank_table ranks every
-matrix once, indexed by its base-q code, for the search, the census and
-the GF(2) span walks.
+kernel and image bases are reproducible.  One scalar elimination, through
+the field's sub, mul and inv, ranks single matrices over every field;
+blocks of matrices are ranked and reduced by the batched kernels.  For
+small shapes _rank_table ranks every matrix once, indexed by its base-q
+code, for the search, the census and the small GF(2) span walks.
 
 Text format (bit-exact round-trip): first line "m n GF(...)", then m lines
 of n space-separated element codes.
@@ -186,8 +187,6 @@ class MatGF:
     # -- rank / kernel / image ----------------------------------------------
 
     def rank(self) -> int:
-        if self.field.q == 2:
-            return _rank_words_gf2([_pack_row_bits(self.row(i)) for i in range(self.m)])
         return _rank_rows(self.field, self.rows_as_lists())
 
     def kernel_basis(self) -> list["MatGF"]:
@@ -365,9 +364,10 @@ def _rank_table(field: FieldSpec, m: int, n: int) -> bytes:
 
     The code of a matrix reads its row-major entries as base-q digits,
     entry (0,0) most significant, so numeric order on codes is
-    lexicographic order on entries and a GF(2) code is the packed bit
-    word.  The q^(mn) matrices are ranked by rank_batch in blocks, which
-    bounds the working memory; callers decide how large a table to build.
+    lexicographic order on entries and a GF(2) code is the bit word of
+    the entries.  The q^(mn) matrices are ranked by rank_batch in blocks,
+    which bounds the working memory; callers decide how large a table to
+    build.
     """
     q, mn = field.q, m * n
     total = q ** mn
@@ -386,72 +386,27 @@ def _code_digits(codes: np.ndarray, q: int, length: int) -> np.ndarray:
 
 
 def _rank_rows(field: FieldSpec, rows: list[list[int]]) -> int:
-    """Row-echelon rank; consumes the row lists."""
-    if field.q == 2:
-        return _rank_words_gf2([_pack_row_bits(r) for r in rows])
-    if field._mul_flat is not None:
-        return _rank_rows_table(field, rows)
-    return int(rank_batch(field, np.array([rows]))[0])
-
-
-def _rank_rows_table(field: FieldSpec, rows: list[list[int]]) -> int:
-    q = field.q
-    mf = field._mul_flat
-    sf = field._sub_flat
-    iv = field._inv
+    """Row-echelon rank through the field's scalar arithmetic; consumes
+    the row lists."""
+    sub, mul = field.sub, field.mul
     nrows = len(rows)
-    ncols = len(rows[0])
     rank = 0
-    for col in range(ncols):
-        piv = -1
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv < 0:
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, nrows) if rows[i][col]), None)
+        if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         prow = rows[rank]
-        s = iv[prow[col]]
-        if s != 1:
-            sq = s * q
-            prow = rows[rank] = [mf[sq + x] for x in prow]
+        pinv = field.inv(prow[col])
         for i in range(rank + 1, nrows):
             ri = rows[i]
             c = ri[col]
             if c:
-                cq = c * q
-                rows[i] = [sf[x * q + mf[cq + y]] for x, y in zip(ri, prow)]
+                c = mul(c, pinv)
+                rows[i] = [sub(x, mul(c, y)) for x, y in zip(ri, prow)]
         rank += 1
         if rank == nrows:
             break
-    return rank
-
-
-# ---------------------------------------------------------------------------
-# GF(2) scalar path: rows as machine words, column 0 in the most significant bit
-# ---------------------------------------------------------------------------
-
-def _pack_row_bits(row: Sequence[int]) -> int:
-    w = 0
-    for x in row:
-        w = (w << 1) | x
-    return w
-
-
-def _rank_words_gf2(words: list[int]) -> int:
-    """Rank of GF(2) rows packed as integers."""
-    pivs: dict[int, int] = {}
-    rank = 0
-    for w in words:
-        while w:
-            b = w.bit_length()
-            p = pivs.get(b)
-            if p is None:
-                pivs[b] = w
-                rank += 1
-                break
-            w ^= p
     return rank
 
 

@@ -13,6 +13,11 @@ elements: c divided by its leading coefficient lies in the same class, so
 it offends too, and it is not after c in lexicographic order; being the
 first, c equals it and already leads with 1.  Budgets still count all q^d
 elements.
+
+Every field takes this one walk.  The representatives are built in blocks
+of codes; a GF(2) block whose matrices have at most 16 entries is ranked
+by looking up their bit words in a rank table, any other block by the
+batched elimination rank_batch.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .errors import (
 from .field import FieldArrays, FieldSpec, parse_field_descriptor
 from .matrix import (
     MatGF,
-    _pack_row_bits,
     _parse_matrix_block,
     _rank_rows,
     _rank_table,
@@ -237,13 +241,15 @@ def _combinations(ar: FieldArrays, basis: list[np.ndarray], q: int, lo: int,
     return ar.add(prefix[head - head[0]], term)
 
 
-def _class_ranges(S: SubspaceBasis) -> list[tuple[int, int]]:
-    """Index ranges of one element per scalar class of the non-zero span
-    elements: [q^j, 2q^j) for j = 0..d-1, the indices whose leading
+def _class_ranges(q: int, d: int) -> list[tuple[int, int]]:
+    """Index ranges of one element per scalar class of the non-zero
+    vectors of F^d: [q^j, 2q^j) for j = 0..d-1, the indices whose leading
     coefficient is 1, ascending and so in coefficient lexicographic order.
+    Over GF(2) the ranges are adjacent and are joined into [1, 2^d).
     """
-    q = S.field.q
-    return [(q ** j, 2 * q ** j) for j in range(S.d)]
+    if q == 2:
+        return [(1, 1 << d)]
+    return [(q ** j, 2 * q ** j) for j in range(d)]
 
 
 def _span_blocks(S: SubspaceBasis,
@@ -295,9 +301,21 @@ def enumerate_elements(S: SubspaceBasis, *,
 
 def _ranked_blocks(S: SubspaceBasis, ranges: list[tuple[int, int]]
                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(codes, ranks) blocks of the span elements in ranges, in order."""
-    for block in _span_blocks(S, ranges):
-        yield block, rank_batch(S.field, block)
+    """(codes, ranks) blocks of the span elements in ranges, in order.
+
+    A GF(2) block with at most 16 entries per matrix is ranked by looking
+    up each element's bit word in _rank_table; every other block by
+    rank_batch.
+    """
+    F, mn = S.field, S.m * S.n
+    if F.q == 2 and mn <= 16:
+        table = np.frombuffer(_rank_table(F, S.m, S.n), dtype=np.uint8)
+        weights = 1 << np.arange(mn - 1, -1, -1)
+        for block in _span_blocks(S, ranges):
+            yield block, table[block.reshape(len(block), mn) @ weights]
+    else:
+        for block in _span_blocks(S, ranges):
+            yield block, rank_batch(F, block)
 
 
 # ---------------------------------------------------------------------------
@@ -323,32 +341,16 @@ class RankProfile:
         return hit[0] if len(hit) == 1 else None
 
 
-def _gf2_packed(S: SubspaceBasis) -> bool:
-    """Whether the span is walked as packed GF(2) codes with a rank table."""
-    return S.field.q == 2 and S.m * S.n <= 16
-
-
 def rank_profile(S: SubspaceBasis, *,
                  budget: int = DEFAULT_ENUMERATION_BUDGET) -> RankProfile:
     """Count span elements by rank (the zero element is skipped)."""
     q, d, m, n = S.field.q, S.d, S.m, S.n
     _check_budget(S, budget)
-    counts = [0] * (min(m, n) + 1)
-    if _gf2_packed(S):
-        # Gray traversal: one XOR per element, table lookup for the rank.
-        packed = [_pack_row_bits(B.entries) for B in S.basis]
-        table = _rank_table(S.field, m, n)
-        cur = 0
-        for k in range(1, 1 << d):
-            cur ^= packed[(k & -k).bit_length() - 1]
-            counts[table[cur]] += 1
-    else:
-        # every scalar class holds q - 1 elements of one rank
-        tally = np.zeros(len(counts), dtype=np.int64)
-        for _, ranks in _ranked_blocks(S, _class_ranges(S)):
-            tally += np.bincount(ranks, minlength=len(counts))
-        counts = [c * (q - 1) for c in tally.tolist()]
-    return RankProfile(q, d, (m, n), tuple(counts))
+    # every scalar class holds q - 1 elements of one rank
+    tally = np.zeros(min(m, n) + 1, dtype=np.int64)
+    for _, ranks in _ranked_blocks(S, _class_ranges(q, d)):
+        tally += np.bincount(ranks, minlength=len(tally))
+    return RankProfile(q, d, (m, n), tuple(c * (q - 1) for c in tally.tolist()))
 
 
 def is_constant_rank(S: SubspaceBasis, r: int, *,
@@ -359,29 +361,13 @@ def is_constant_rank(S: SubspaceBasis, r: int, *,
     On failure returns the offending element that comes first in coefficient
     lexicographic order, so the witness is stable across runs.
     """
-    F = S.field
-    d, m, n = S.d, S.m, S.n
+    m, n = S.m, S.n
     if not 1 <= r <= min(m, n):
         raise UsageError(f"target rank {r} outside 1..{min(m, n)}")
     _check_budget(S, budget)
-    if _gf2_packed(S):
-        mn = m * n
-        # counter bit b holds coefficient d-1-b, so counting up walks the
-        # coefficient vectors in lexicographic order
-        word = [_pack_row_bits(S.basis[d - 1 - b].entries) for b in range(d)]
-        table = _rank_table(S.field, m, n)
-        cur = 0
-        for k in range(1, 1 << d):
-            low = (k & -k).bit_length() - 1
-            for b in range(low + 1):
-                cur ^= word[b]
-            if table[cur] != r:
-                ent = tuple((cur >> (mn - 1 - t)) & 1 for t in range(mn))
-                return False, MatGF(F, m, n, ent)
-        return True, None
     # the first offender leads with coefficient 1 (see the module
     # docstring), so it is the first offending class representative
-    for block, ranks in _ranked_blocks(S, _class_ranges(S)):
+    for block, ranks in _ranked_blocks(S, _class_ranges(S.field.q, S.d)):
         bad = ranks != r
         if bad.any():
             return False, _matrix_of(S, block[bad.argmax()])

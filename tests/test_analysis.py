@@ -293,6 +293,12 @@ def test_image_of_kernel_sampling_is_seeded():
     assert full.elements_checked == 15
 
 
+@pytest.mark.parametrize("sample", [0, -1])
+def test_image_of_kernel_rejects_non_positive_sample(sample):
+    with pytest.raises(UsageError, match="sample must be at least 1"):
+        check_image_of_kernel(_rank2_dim4_gf2(), sample=sample)
+
+
 def test_kernel_bound_report_fields(gf2):
     S = _rank2_dim4_gf2()
     report = check_kernel_bound(S)

@@ -18,6 +18,7 @@ import pytest
 from constrank import (
     MatGF,
     SubspaceBasis,
+    UsageError,
     check_image_of_kernel,
     enumerate_elements,
     is_constant_rank,
@@ -274,7 +275,7 @@ def test_witness_is_first_offender_at_block_boundaries(pe, d):
     rng = random.Random(f"boundary:{pe}")
     for where, target in targets.items():
         S = _perturbed_span(F, d, target, rng)
-        assert F.q > 2 or S.m * S.n > 16   # not the packed GF(2) walk
+        assert F.q > 2 or S.m * S.n > 16   # ranked by rank_batch, not the table
         ok, witness = is_constant_rank(S, 2)
         index, ref = _ref_first_offender(S, 2)
         assert index == target, where
@@ -375,8 +376,8 @@ def test_image_of_kernel_golden_across_blocks(sample, expected):
 
 # (field, span dimension): each dimension puts a range start of the class
 # walk strictly inside one of its blocks
-CLASS_CASES = [((3, 1), 6), ((2, 2), 5), ((5, 1), 5), ((7, 1), 4),
-               ((3, 2), 4), ((257, 1), 2), ((2, 9), 2)]
+CLASS_CASES = [((2, 1), 7), ((3, 1), 6), ((2, 2), 5), ((5, 1), 5),
+               ((7, 1), 4), ((3, 2), 4), ((257, 1), 2), ((2, 9), 2)]
 
 
 def _case_id(case) -> str:
@@ -476,20 +477,78 @@ def test_class_walk_ranks_one_element_per_class(case, monkeypatch):
     pe, d_max = case
     F = make_field(*pe)
     q = F.q
+    # GF(2) matrices with at most 16 entries are ranked by table lookup,
+    # so the GF(2) spans here have more entries than that
+    width = 9 if q == 2 else 2
     rng = random.Random(f"class calls:{pe}")
     for d in range(1, min(d_max, 3) + 1):
-        S = _random_span(F, 2, 2, d, rng)
+        S = _random_span(F, 2, width, d, rng)
         classes = (q ** d - 1) // (q - 1)
         calls.clear()
         rank_profile(S)
         assert calls == _block_sizes(classes)
         assert len(calls) <= len(_block_sizes(q ** d - 1))
-        # every non-zero 1-by-d matrix has rank 1, so the walk runs to its end
-        units = SubspaceBasis([MatGF(F, 1, d, [int(i == j) for j in range(d)])
+        # every non-zero 1-by-n matrix has rank 1, so the walk runs to its end
+        n = 17 if q == 2 else d
+        units = SubspaceBasis([MatGF(F, 1, n, [int(i == j) for j in range(n)])
                                for i in range(d)])
         calls.clear()
         assert is_constant_rank(units, 1) == (True, None)
         assert calls == _block_sizes(classes)
+
+
+def _no_rank_batch(F, codes):
+    raise AssertionError("rank_batch called on a table-ranked span")
+
+
+def test_gf2_table_walk_first_offender_at_block_edges(monkeypatch):
+    # the GF(2) 2x8 rank-2 construction (d = 8, 255 non-zero elements) with
+    # basis matrix j replaced by seeded random matrices until the first
+    # offender lands at the wanted place; replacing basis matrix j changes
+    # only the elements whose index has bit d-1-j set
+    monkeypatch.setattr(subspace_mod, "rank_batch", _no_rank_batch)
+    F = make_field(2)
+    base = truncated_construction(F, 2, 8, 2)
+    d = base.d
+    assert (d, base.m * base.n) == (8, 16)
+    starts = _block_starts(F.q ** d)
+    assert starts == [1, 65, 193]
+    places = {"end of first block": (1, range(starts[1] - 1, starts[1])),
+              "start of second block": (1, range(starts[1], starts[1] + 1)),
+              "final partial block": (0, range(starts[2], F.q ** d))}
+    rng = random.Random("gf2 table walk")
+    for where, (j, wanted) in places.items():
+        for _ in range(2000):
+            basis = list(base.basis)
+            basis[j] = MatGF(F, 2, 8, [rng.randrange(2) for _ in range(16)])
+            try:
+                S = SubspaceBasis(basis)
+            except UsageError:
+                continue
+            ref = _ref_verify(S, 2)
+            if ref is not None and ref[0] in wanted:
+                break
+        else:
+            pytest.fail(f"no span with its first offender at the {where}")
+        index, element = ref
+        ok, witness = is_constant_rank(S, 2)
+        assert not ok and witness.entries == element.entries, where
+        assert list(enumerate_elements(S)).index(witness) == index, where
+        assert rank_profile(S).counts == _ref_profile(S), where
+
+
+def test_rank_table_serves_only_small_gf2_spans(monkeypatch):
+    F = make_field(2)
+    rng = random.Random("table selection")
+    small = _random_span(F, 4, 4, 4, rng)
+    wide = _random_span(F, 3, 6, 3, rng)
+    expected = (rank_profile(small), is_constant_rank(small, 2))
+    monkeypatch.setattr(subspace_mod, "rank_batch", _no_rank_batch)
+    assert (rank_profile(small), is_constant_rank(small, 2)) == expected
+    with pytest.raises(AssertionError, match="rank_batch called"):
+        rank_profile(wide)
+    with pytest.raises(AssertionError, match="rank_batch called"):
+        is_constant_rank(wide, 2)
 
 
 def _ref_image_of_kernel(S, sample, seed):

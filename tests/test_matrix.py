@@ -11,11 +11,13 @@ from constrank import (
     MatGF,
     ParseError,
     ShapeViolation,
+    SubspaceBasis,
+    UsageError,
     make_field,
     member_of_span,
     parse_matrix,
 )
-from conftest import col, mat
+from conftest import col, mat, ref_rank
 
 
 def _rank_oracle(field, rows):
@@ -98,6 +100,36 @@ def test_rank_agrees_with_plain_elimination_gf9():
         n = rng.randint(1, 5)
         rows = [[rng.randrange(9) for _ in range(n)] for _ in range(m)]
         assert MatGF.from_rows(F, rows).rank() == _rank_oracle(F, rows)
+
+
+@pytest.mark.parametrize("pe", [(2, 1), (2, 2), (251, 1), (257, 1), (2, 9), (3, 6)],
+                         ids=["GF(2)", "GF(4)", "GF(251)", "GF(257)", "GF(2^9)",
+                              "GF(3^6)"])
+def test_scalar_rank_matches_reference(pe):
+    # the one scalar elimination behind rank, member_of_span and the
+    # independence check of SubspaceBasis, on both sides of the q*q tables
+    F = make_field(*pe)
+    rng = random.Random(f"scalar rank:{pe}")
+    for _ in range(60):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[rng.randrange(F.q) for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.5:
+            c = rng.randrange(F.q)
+            rows[-1] = [F.add(x, F.mul(c, y)) for x, y in zip(rows[0], rows[1])]
+        rank = ref_rank(F, rows)
+        assert mat(F, rows).rank() == rank, rows
+        columns = [col(F, [rows[i][j] for i in range(m)]) for j in range(n)]
+        c = rng.randrange(F.q)
+        inside = col(F, [F.add(r[0], F.mul(c, r[-1])) for r in rows])
+        for v in (inside, col(F, [rng.randrange(F.q) for _ in range(m)])):
+            assert member_of_span(v, columns) == (
+                ref_rank(F, [u.entries for u in columns] + [v.entries]) == rank)
+        mats = [mat(F, [row]) for row in rows]
+        if rank == m:
+            assert SubspaceBasis(mats).d == m
+        else:
+            with pytest.raises(UsageError, match="linearly dependent"):
+                SubspaceBasis(mats)
 
 
 def test_rank_nullity_and_kernel_annihilates(gf3):
