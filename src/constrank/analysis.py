@@ -15,7 +15,18 @@ than in the abstract:
 * the dimension bounds d <= n and d <= m + n - r.
 
 All counts are exact integers.  Vectors are scanned one representative
-per scalar class, since dim K_u is unchanged by scaling u.
+per scalar class, since dim K_u is unchanged by scaling u, and budgets
+bound the q^n vectors of a scan as well as the q^d span elements.
+
+Span elements are reduced one representative per scalar class too: cA
+has the reduced echelon form of A for every nonzero scalar c (the
+reduction scales each pivot to 1), hence the same kernel and image, so
+the image check reduces the element whose leading coefficient is 1 and
+reports each of its violations for all q - 1 multiples, in element
+order (see check_image_of_kernel).  A sampled check examines the
+sampled elements themselves.  A rank profile can be passed to the
+private helpers behind check_kernel_bound and check_image_of_kernel, so
+the CLI's lemma-check ranks the span once for both checks.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     DimensionMismatch,
     InternalVerificationFailed,
     NotConstantRank,
@@ -37,6 +49,7 @@ from .matrix import MatGF, _code_digits, _kernel_batch, rank_batch
 from .subspace import (
     _BLOCK_CAP,
     DEFAULT_ENUMERATION_BUDGET,
+    RankProfile,
     SubspaceBasis,
     _class_ranges,
     _matrix_of,
@@ -156,10 +169,27 @@ def _projective_blocks(field: FieldSpec, n: int):
             yield _code_digits(codes, field.q, n)
 
 
-def _slice_dims(S: SubspaceBasis):
-    """(vectors, dim K_u) blocks over the projective vectors, in order."""
-    for U in _projective_blocks(S.field, S.n):
-        yield U, S.d - rank_batch(S.field, _evaluations(S, U))
+def _slice_dims(S: SubspaceBasis, budget: int):
+    """(vectors, dim K_u) blocks over the projective vectors, in order.
+
+    Raises BudgetExceeded at once if F^n has more than budget vectors.
+    """
+    total = S.field.q ** S.n
+    if total > budget:
+        raise BudgetExceeded(
+            f"vector space has {total} vectors, enumeration budget is {budget}"
+        )
+    return ((U, S.d - rank_batch(S.field, _evaluations(S, U)))
+            for U in _projective_blocks(S.field, S.n))
+
+
+def _constant_rank(profile: RankProfile) -> int:
+    r = profile.constant_rank_of()
+    if r is None:
+        raise NotConstantRank(
+            f"span is not constant rank (rank counts {profile.counts})"
+        )
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +223,18 @@ def check_image_of_kernel(S: SubspaceBasis, *, sample: int | None = None,
     pseudo-random subset of that many maximal-rank elements is examined
     instead; the subset is processed in enumeration order, so reports stay
     deterministic for a fixed seed.
+
+    Without a sample, one element per scalar class is reduced: the
+    representative A whose leading coefficient is 1.  For a nonzero
+    scalar c, rref_batch scales every pivot to 1, so cA has the reduced
+    echelon form of A and _kernel_batch returns the same kernel basis K
+    and left kernel basis L for both; hence (cA, u_t, B_j) violates
+    exactly when (A, u_t, B_j) does, with u_t column t of K.  Each
+    violating triple of A is reported for all q - 1 multiples cA, whose
+    span index has the digits of A's index each multiplied by c, and
+    the triples are sorted by (element index, t, j): the order in which
+    a walk over every element would find them.  Over GF(2) the only
+    multiple is A itself.
     """
     if S.m != S.n:
         raise ShapeViolation(
@@ -201,9 +243,16 @@ def check_image_of_kernel(S: SubspaceBasis, *, sample: int | None = None,
         )
     if sample is not None and sample < 1:
         raise UsageError(f"sample must be at least 1, got {sample}")
+    return _image_of_kernel(S, rank_profile(S, budget=budget), sample, seed)
+
+
+def _image_of_kernel(S: SubspaceBasis, profile: RankProfile,
+                     sample: int | None, seed: int) -> ImageOfKernelReport:
+    """check_image_of_kernel on a validated square span with its rank
+    profile."""
     F = S.field
     q, n, d = F.q, S.n, S.d
-    counts = rank_profile(S, budget=budget).counts
+    counts = profile.counts
     max_rank = max(s for s, c in enumerate(counts) if c)
     max_count = counts[max_rank]
 
@@ -212,29 +261,34 @@ def check_image_of_kernel(S: SubspaceBasis, *, sample: int | None = None,
         import random as _random
 
         chosen = np.array(_random.Random(seed).sample(range(max_count), sample))
+        # ordinals count maximal-rank elements, so walk every element
+        ranges, multipliers = [(1, q ** d)], np.array([1])
     else:
         chosen = None
+        ranges, multipliers = _class_ranges(q, d), np.arange(1, q)
 
-    nonzero = [(1, q ** d)]
     if max_count == q ** d - 1:
         # every element has the maximal rank: select without ranking again
         selection = ((block, np.arange(len(block)))
-                     for block in _span_blocks(S, nonzero))
+                     for block in _span_blocks(S, ranges))
     else:
         selection = ((block, np.flatnonzero(ranks == max_rank))
-                     for block, ranks in _ranked_blocks(S, nonzero))
+                     for block, ranks in _ranked_blocks(S, ranges))
 
     ar = F.arrays
     basis = _basis_codes(S)
-    violations: list[tuple[MatGF, MatGF, MatGF]] = []
+    powers = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    found: list[tuple[int, int, int, MatGF, MatGF, MatGF]] = []
     elements_checked = 0
+    walked = 0
     seen = 0
     for block, hit in selection:
+        start, walked = walked, walked + len(block)
         if chosen is not None:
             ordinals = np.arange(seen, seen + len(hit))
             seen += len(hit)
             hit = hit[np.isin(ordinals, chosen)]
-        elements_checked += len(hit)
+        elements_checked += len(hit) * len(multipliers)
         if max_rank == n or not len(hit):
             continue
         A = block[hit]
@@ -245,17 +299,34 @@ def check_image_of_kernel(S: SubspaceBasis, *, sample: int | None = None,
         LBK = _field_matmul(ar, L.transpose(0, 2, 1)[:, None],
                             _field_matmul(ar, basis[None], K[:, None]))
         bad = (LBK != 0).any(axis=2).transpose(0, 2, 1)
-        for e, t, j in np.argwhere(bad).tolist():
-            violations.append((_matrix_of(S, A[e]),
-                               MatGF(F, n, 1, K[e, :, t].tolist()),
-                               S.basis[j]))
+        for e in np.flatnonzero(bad.any(axis=(1, 2))).tolist():
+            # the multiples c * A_e: their indices and their entries
+            x = _walk_index(ranges, start + int(hit[e]))
+            digits = _code_digits(np.array([x]), q, d)
+            indices = (ar.mul(multipliers[:, None], digits) @ powers).tolist()
+            scaled = [_matrix_of(S, cA)
+                      for cA in ar.mul(multipliers[:, None, None], A[e])]
+            for t, j in np.argwhere(bad[e]).tolist():
+                u = MatGF(F, n, 1, K[e, :, t].tolist())
+                found.extend((index, t, j, cA, u, S.basis[j])
+                             for index, cA in zip(indices, scaled))
+    found.sort(key=lambda v: v[:3])
     return ImageOfKernelReport(
         max_rank=max_rank,
         elements_checked=elements_checked,
         triples_checked=elements_checked * (n - max_rank) * d,
         sampled=sampled,
-        violations=tuple(violations),
+        violations=tuple(v[3:] for v in found),
     )
+
+
+def _walk_index(ranges: list[tuple[int, int]], position: int) -> int:
+    """Span index of the element at a position of a walk over ranges."""
+    for lo, hi in ranges:
+        if position < hi - lo:
+            break
+        position -= hi - lo
+    return lo + position
 
 
 # ---------------------------------------------------------------------------
@@ -285,22 +356,26 @@ class KernelBoundReport:
 def check_kernel_bound(S: SubspaceBasis, *,
                        budget: int = DEFAULT_ENUMERATION_BUDGET
                        ) -> KernelBoundReport:
-    """Minimum slice dimension over all nonzero u, versus n + 1 - r."""
+    """Minimum slice dimension over all nonzero u, versus n + 1 - r.
+
+    The budget bounds both the q^d span elements and the q^n vectors.
+    """
     if S.m != S.n:
         raise ShapeViolation(
             f"the kernel bound check needs a square span, got {S.m}x{S.n}"
         )
+    return _kernel_bound(S, rank_profile(S, budget=budget), budget)
+
+
+def _kernel_bound(S: SubspaceBasis, profile: RankProfile,
+                  budget: int) -> KernelBoundReport:
+    """check_kernel_bound on a square span with its rank profile."""
     F = S.field
-    profile = rank_profile(S, budget=budget)
-    r = profile.constant_rank_of()
-    if r is None:
-        raise NotConstantRank(
-            f"span is not constant rank (rank counts {profile.counts})"
-        )
+    r = _constant_rank(profile)
     q, n, d = F.q, S.n, S.d
     bound = n + 1 - r
     min_r_u = d + 1
-    for U, r_u in _slice_dims(S):
+    for U, r_u in _slice_dims(S, budget):
         k = int(r_u.argmin())
         if r_u[k] < min_r_u:
             min_r_u, min_u = int(r_u[k]), U[k].tolist()
@@ -355,22 +430,18 @@ def counting_report(S: SubspaceBasis, *,
                     ) -> CountingReport:
     """Evaluate the annihilating-pair count both ways on a constant-rank
     square span; unequal counts indicate a defect in this package and
-    raise InternalVerificationFailed."""
+    raise InternalVerificationFailed.  The budget bounds both the q^d
+    span elements and the q^n vectors."""
     if S.m != S.n:
         raise ShapeViolation(
             f"the counting identity needs a square span, got {S.m}x{S.n}"
         )
     F = S.field
-    profile = rank_profile(S, budget=budget)
-    r = profile.constant_rank_of()
-    if r is None:
-        raise NotConstantRank(
-            f"span is not constant rank (rank counts {profile.counts})"
-        )
+    r = _constant_rank(rank_profile(S, budget=budget))
     q, n, d = F.q, S.n, S.d
     omega_by_elements = (q ** d - 1) * (q ** (n - r) - 1)
     tally = np.zeros(d + 1, dtype=np.int64)
-    for _, r_u in _slice_dims(S):
+    for _, r_u in _slice_dims(S, budget):
         tally += np.bincount(r_u, minlength=d + 1)
     vectors_by_r_u = tally.tolist()
     omega_by_vectors = sum((q - 1) * (q ** ru - 1) * count
@@ -446,12 +517,7 @@ def check_general_bound(S: SubspaceBasis, *,
                         ) -> GeneralBoundReport:
     """Check dim <= m + n - r for a constant-rank span of any shape."""
     F = S.field
-    profile = rank_profile(S, budget=budget)
-    r = profile.constant_rank_of()
-    if r is None:
-        raise NotConstantRank(
-            f"span is not constant rank (rank counts {profile.counts})"
-        )
+    r = _constant_rank(rank_profile(S, budget=budget))
     q, m, n, d = F.q, S.m, S.n, S.d
     bound = m + n - r
     return GeneralBoundReport(

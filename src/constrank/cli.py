@@ -21,11 +21,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .analysis import (
-    check_image_of_kernel,
-    check_kernel_bound,
-    counting_report,
-)
+from .analysis import _image_of_kernel, _kernel_bound, counting_report
 from .construct import truncated_construction
 from .errors import (
     BudgetExceeded,
@@ -325,10 +321,10 @@ def _cmd_lemma_check(config: RunConfig):
     S = _read_subspace(config)
     square = _pad_square(S)
     budget = config.budget or DEFAULT_ENUMERATION_BUDGET
-    bound = check_kernel_bound(square, budget=budget)
-    image = check_image_of_kernel(
-        square, sample=config.sample, seed=config.seed, budget=budget
-    )
+    # one rank walk serves both checks
+    profile = rank_profile(square, budget=budget)
+    bound = _kernel_bound(square, profile, budget)
+    image = _image_of_kernel(square, profile, config.sample, config.seed)
     report = {
         "command": "lemma-check",
         "field": S.field.descriptor,

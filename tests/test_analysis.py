@@ -16,6 +16,7 @@ import pytest
 
 import constrank.analysis as analysis_mod
 from constrank import (
+    BudgetExceeded,
     DimensionMismatch,
     MatGF,
     NotConstantRank,
@@ -322,6 +323,29 @@ def test_kernel_bound_min_matches_brute_force(gf3):
     oracle = min(_slice_dim_oracle(S, u)
                  for u in _all_nonzero_vectors(gf3, 2))
     assert report.min_r_u == oracle
+
+
+def _identity_span(F, n):
+    """1-dim span of the n-by-n identity: q elements, q^n vectors."""
+    return make_subspace([MatGF(F, n, n, [int(i == j) for i in range(n)
+                                          for j in range(n)])])
+
+
+@pytest.mark.parametrize("check", [check_kernel_bound, counting_report],
+                         ids=["kernel_bound", "counting"])
+def test_budget_bounds_the_vector_scan(check):
+    # 251 elements, but about 10^12 vectors to scan
+    S = _identity_span(make_field(251), 5)
+    for budget in (1000, None):
+        kwargs = {} if budget is None else {"budget": budget}
+        with pytest.raises(BudgetExceeded, match=f"{251 ** 5} vectors"):
+            check(S, **kwargs)
+    # the vector budget counts all q^n vectors, as the span budget counts
+    # all q^d elements
+    T = _identity_span(make_field(3), 2)
+    assert check(T, budget=9)
+    with pytest.raises(BudgetExceeded, match="has 9 vectors"):
+        check(T, budget=8)
 
 
 def test_kernel_bound_rejects_mixed_rank(gf3):

@@ -227,6 +227,21 @@ def test_budget_exhaustion_is_exit_three(tmp_path, capsys):
     assert report["nodes"] == "50"
 
 
+@pytest.mark.parametrize("command", ["counting", "lemma-check"])
+def test_budget_bounds_the_vector_scan(command, tmp_path, capsys):
+    # 251 elements, but about 10^12 vectors for the slice scan
+    F = make_field(251)
+    target = tmp_path / "identity.txt"
+    target.write_text(make_subspace([mat(F, [[int(i == j) for j in range(5)]
+                                             for i in range(5)])]).to_text())
+    code = main([command, "--input", str(target), "--budget", "1000"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (f"error: vector space has {251 ** 5} vectors, "
+                            f"enumeration budget is 1000\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["bogus"],
     ["construct", "--field", "GF(6)", "--shape", "2x2", "--rank", "1"],
@@ -340,6 +355,17 @@ def test_console_script_is_installed():
         ["constrank", "oracle", "--field", "GF(2)", "--shape", "2x2",
          "--rank", "2", "--dim", "2"],
         capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert "count=2" in proc.stdout
+
+
+def test_python_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "constrank", "oracle", "--field", "GF(2)",
+         "--shape", "2x2", "--rank", "2", "--dim", "2"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert "count=2" in proc.stdout

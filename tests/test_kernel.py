@@ -29,7 +29,9 @@ from constrank import (
     regular_representation,
     truncated_construction,
 )
+import constrank.analysis as analysis_mod
 import constrank.subspace as subspace_mod
+from constrank.cli import main
 from constrank.matrix import _kernel_batch, _rank_table, rank_batch, rref_batch
 from constrank.subspace import _BLOCK_CAP, _BLOCK_START
 from conftest import ref_rank, ref_rref
@@ -617,3 +619,72 @@ def test_image_of_kernel_matches_per_element_reference(pe):
                 _ref_image_of_kernel(S, sample, seed), (where, sample)
         if where in ("constant rank q", "mixed rank"):
             assert rep.violations, where
+
+
+# ---------------------------------------------------------------------------
+# image containment per scalar class
+# ---------------------------------------------------------------------------
+
+def _lemma_spans(F):
+    """Constant-rank square spans whose elements have kernels."""
+    if F.q > 5:
+        # the large-field boxes: 1x2 rank 1, padded, d = 2
+        return [truncated_construction(F, 1, 2, 1).pad_to_square()]
+    return [truncated_construction(F, 3, 3, 1),
+            truncated_construction(F, 2, 3, 2).pad_to_square(),
+            _diagonal_pencil(F, False)]
+
+
+@pytest.mark.parametrize("pe", [(3, 1), (2, 2), (5, 1), (257, 1), (2, 9)],
+                         ids=_field_id)
+def test_image_check_reduces_one_element_per_class(pe, monkeypatch):
+    reduced = []
+
+    def counting(F, codes):
+        reduced.append(len(codes))
+        return _kernel_batch(F, codes)
+
+    monkeypatch.setattr(analysis_mod, "_kernel_batch", counting)
+    F = make_field(*pe)
+    q = F.q
+    for S in _lemma_spans(F):
+        assert rank_profile(S).constant_rank_of() < S.n
+        reduced.clear()
+        rep = check_image_of_kernel(S)
+        assert sum(reduced) == 2 * (q ** S.d - 1) // (q - 1)
+        assert rep.elements_checked == q ** S.d - 1
+
+
+def test_lemma_check_ranks_each_class_once(tmp_path, monkeypatch, capsys):
+    ranked = []
+
+    def counting(F, codes):
+        ranked.append(len(codes))
+        return rank_batch(F, codes)
+
+    monkeypatch.setattr(subspace_mod, "rank_batch", counting)
+    F = make_field(3)
+    S = _diagonal_pencil(F, False)
+    path = tmp_path / "span.txt"
+    path.write_text(S.to_text())
+    assert main(["lemma-check", "--input", str(path)]) == 1
+    assert "lemma1_holds=false" in capsys.readouterr().out
+    assert sum(ranked) == (F.q ** S.d - 1) // (F.q - 1)
+
+
+@pytest.mark.parametrize("pe", [(7, 1), (2, 3), (3, 2), (11, 1)], ids=_field_id)
+def test_sampled_violations_restrict_the_full_report(pe):
+    # every non-zero element of the pencil has the maximal rank q, so
+    # sampled ordinal k is element k + 1 in coefficient order
+    F = make_field(*pe)
+    S = _diagonal_pencil(F, False)
+    elements = list(enumerate_elements(S))
+    full = check_image_of_kernel(S)
+    assert not full.sampled and full.elements_checked == len(elements) - 1
+    for sample, seed in [(1, 0), (5, 3), (17, 11), (len(elements) - 2, 4)]:
+        rep = check_image_of_kernel(S, sample=sample, seed=seed)
+        picked = random.Random(seed).sample(range(len(elements) - 1), sample)
+        chosen = {elements[k + 1] for k in picked}
+        assert rep.sampled and rep.elements_checked == sample
+        assert rep.violations == tuple(v for v in full.violations
+                                       if v[0] in chosen), (sample, seed)
