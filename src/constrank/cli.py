@@ -484,3 +484,7 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

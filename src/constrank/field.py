@@ -1,4 +1,4 @@
-"""Exact arithmetic in small finite fields GF(p^e) via lookup tables.
+"""Exact arithmetic in small finite fields GF(p^e) via O(q) lookup tables.
 
 Element codes are the integers 0..q-1.  For an extension field the code is
 read as the base-p digit vector of the residue polynomial, constant term in
@@ -8,9 +8,19 @@ smallest irreducible monic polynomial of the right degree (smallest when the
 coefficient vector is read as a base-p integer, constant term least
 significant).
 
+Each field has one arithmetic, read from O(q) tables over a primitive
+element g.  The exp table lists g^k twice over, then zeros; log maps 0 to
+2(q-1), past every valid logarithm, so exp[log[a] + log[b]] is a*b with no
+branch for a zero factor.  Addition is XOR in characteristic 2, a table of
+residues mod p in odd prime fields, and Zech logarithms in odd extensions:
+g^a + g^b = g^(a + Z(b - a)) with Z(k) = log(1 + g^k).  The scalar methods
+read the tables as tuples and FieldArrays reads the same tables as numpy
+arrays, so scalar code and the batched kernels share them.
+
 Instances are immutable and safe to share between threads.  For q <= 256 the
-full q-by-q addition and multiplication tables are built and the field axioms
-are verified exhaustively at construction time.
+field axioms are verified exhaustively at construction time, on q-by-q sum
+and product tables formed from the shared arithmetic and dropped after the
+check.
 """
 
 from __future__ import annotations
@@ -35,8 +45,8 @@ __all__ = ["MAX_ORDER", "FieldSpec", "make_field", "parse_field_descriptor"]
 
 MAX_ORDER = 1 << 16
 
-# full q*q tables (and the exhaustive axiom check) only below this order
-_TABLE_CAP = 256
+# the exhaustive axiom check runs up to this order
+_VERIFY_CAP = 256
 
 
 def _is_prime(v: int) -> bool:
@@ -118,7 +128,7 @@ def _smallest_irreducible(field: "FieldSpec", deg: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 class FieldSpec:
-    """A concrete GF(p^e): order, modulus, exp/log tables, arithmetic.
+    """A concrete GF(p^e): order, modulus, O(q) tables, arithmetic.
 
     Attributes
     ----------
@@ -126,12 +136,15 @@ class FieldSpec:
     modulus : coefficient tuple of the degree-e modulus, constant term
         first, length e+1; empty for prime fields
     exp_table, log_table : primitive-element presentation of the
-        multiplicative group; exp_table[log_table[a]] == a for a != 0
+        multiplicative group; exp_table[log_table[a]] == a for every a.
+        exp_table has length 4(q-1)+1: g^k for k < 2(q-1), then zeros;
+        log_table[0] == 2(q-1).  With the negation, inverse and addition
+        tables these are the field's only arithmetic (see the module
+        docstring); FieldArrays holds the same tables as numpy arrays.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "exp_table", "log_table",
-                 "_neg", "_inv", "_add_flat", "_sub_flat", "_mul_flat",
-                 "_arrays")
+                 "_neg", "_inv", "_sums", "_arrays")
 
     def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | None = None):
         if not isinstance(p, int) or not _is_prime(p):
@@ -172,129 +185,92 @@ class FieldSpec:
             self.modulus = tuple(mod)
         self._arrays = None
         self._build_tables()
-        if self.q <= _TABLE_CAP:
+        if self.q <= _VERIFY_CAP:
             self._verify_axioms()
 
     # -- construction helpers ------------------------------------------------
 
-    def _digits(self, a: int) -> list[int]:
-        p = self.p
-        out = []
-        for _ in range(self.e):
-            out.append(a % p)
-            a //= p
-        return out
-
-    def _undigits(self, ds: Sequence[int]) -> int:
-        v = 0
-        for d in reversed(ds):
-            v = v * self.p + d
-        return v
-
     def _mul_raw(self, a: int, b: int) -> int:
-        """Product without tables; polynomial multiply-and-reduce."""
-        p = self.p
-        if self.e == 1:
-            return (a * b) % p
-        da = self._digits(a)
-        db = self._digits(b)
-        prod = [0] * (2 * self.e - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    if cb:
-                        prod[i + j] = (prod[i + j] + ca * cb) % p
-        mod = self.modulus
-        for k in range(len(prod) - 1, self.e - 1, -1):
-            c = prod[k]
+        """Product without tables: the schoolbook product of the digit
+        polynomials, reduced by the monic modulus."""
+        p, e, mod = self.p, self.e, self.modulus
+        da, db = ([c // p ** i % p for i in range(e)] for c in (a, b))
+        prod = [0] * (2 * e - 1)
+        for j, y in enumerate(db):
+            if y:
+                for i, x in enumerate(da):
+                    prod[i + j] += x * y
+        for k in range(2 * e - 2, e - 1, -1):
+            c = prod[k] % p
             if c:
-                prod[k] = 0
-                for t in range(self.e):
-                    if mod[t]:
-                        prod[k - self.e + t] = (prod[k - self.e + t] - c * mod[t]) % p
-        return self._undigits(prod[: self.e])
-
-    def _add_raw(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
-            return a ^ b
-        if self.e == 1:
-            return (a + b) % p
-        da = self._digits(a)
-        db = self._digits(b)
-        return self._undigits([(x + y) % p for x, y in zip(da, db)])
+                for t in range(e):
+                    prod[k - e + t] -= c * mod[t]
+        return sum(c % p * p ** i for i, c in enumerate(prod[:e]))
 
     def _build_tables(self) -> None:
-        q = self.q
-        if q == 2:
-            exp, log = [1], [-1, 0]
-        else:
-            exp = log = None
-            for g in range(2, q):
-                cand_exp = [0] * (q - 1)
-                cand_log = [-1] * q
-                val = 1
-                ok = True
-                for i in range(q - 1):
-                    if cand_log[val] != -1:
-                        ok = False
-                        break
-                    cand_exp[i] = val
-                    cand_log[val] = i
-                    val = self._mul_raw(val, g)
-                if ok and val == 1:
-                    exp, log = cand_exp, cand_log
+        q, p = self.q, self.p
+        exp = log = None
+        # g = 1 generates the group only when q = 2
+        for g in range(1, q):
+            cand_exp = [0] * (q - 1)
+            cand_log = [-1] * q
+            val = 1
+            ok = True
+            for i in range(q - 1):
+                if cand_log[val] != -1:
+                    ok = False
                     break
-            if exp is None:
-                raise InternalVerificationFailed(
-                    f"no primitive element found for order {q}"
-                )
+                cand_exp[i] = val
+                cand_log[val] = i
+                val = self._mul_raw(val, g)
+            if ok and val == 1:
+                exp, log = cand_exp, cand_log
+                break
+        if exp is None:
+            raise InternalVerificationFailed(
+                f"no primitive element found for order {q}"
+            )
+        zero_log = 2 * (q - 1)
+        log[0] = zero_log
+        exp = exp * 2 + [0] * (zero_log + 1)
         self.exp_table = tuple(exp)
         self.log_table = tuple(log)
-
-        if self.e == 1:
-            p = self.p
-            neg = [(p - a) % p for a in range(q)]
+        # -a = (p-1)*a, and code p-1 is the constant p-1
+        self._neg = tuple(exp[log[p - 1] + log[a]] for a in range(q))
+        self._inv = tuple(exp[q - 1 - log[a]] if a else 0 for a in range(q))
+        if p == 2:
+            self._sums = None
+        elif self.e == 1:
+            self._sums = tuple(k % p for k in range(2 * p - 1))
         else:
-            neg = [self._undigits([(self.p - d) % self.p for d in self._digits(a)])
-                   for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = exp[(q - 1 - log[a]) % (q - 1)]
-        self._neg = tuple(neg)
-        self._inv = tuple(inv)
-
-        if q <= _TABLE_CAP:
-            mul_flat = [0] * (q * q)
-            for a in range(1, q):
-                la = log[a]
-                row = a * q
-                for b in range(1, q):
-                    mul_flat[row + b] = exp[(la + log[b]) % (q - 1)]
-            add_flat = [0] * (q * q)
-            for a in range(q):
-                row = a * q
-                for b in range(q):
-                    add_flat[row + b] = self._add_raw(a, b)
-            sub_flat = [add_flat[a * q + neg[b]] for a in range(q) for b in range(q)]
-            self._add_flat = tuple(add_flat)
-            self._sub_flat = tuple(sub_flat)
-            self._mul_flat = tuple(mul_flat)
-        else:
-            self._add_flat = None
-            self._sub_flat = None
-            self._mul_flat = None
+            # Z(k) for k < q-1, from 1 + g^k, which only changes the constant
+            # digit of g^k.  The differences past q-1 arise when exactly one
+            # summand is zero, and Z = 0 there returns the other.
+            self._sums = (tuple(log[v - v % p + (v + 1) % p] for v in exp[: q - 1])
+                          + (0,) * q)
 
     def _verify_axioms(self) -> None:
-        """Exhaustive check of the field axioms from the built tables."""
+        """Exhaustive check of the field axioms on the shared tables.
+
+        The q-by-q sum and product tables are formed through FieldArrays
+        and dropped on return.
+        """
         q = self.q
-        a = np.array(self._add_flat, dtype=np.uint8).reshape(q, q)
-        m = np.array(self._mul_flat, dtype=np.uint8).reshape(q, q)
-        idx = np.arange(q, dtype=np.uint8)
+        ar = FieldArrays(self)
+        idx = np.arange(q)
+        # below _VERIFY_CAP every code fits a byte
+        a = ar.add(idx[:, None], idx).astype(np.uint8)
+        m = ar.mul(idx[:, None], idx).astype(np.uint8)
         checks = [
+            ("exp table doubled, then zero",
+             bool((ar.exp[: q - 1] == ar.exp[q - 1: 2 * (q - 1)]).all())
+             and not ar.exp[2 * (q - 1):].any()),
+            ("exp/log consistent", bool((ar.exp[ar.log] == idx).all())),
             ("additive identity", bool((a[0] == idx).all())),
+            ("negatives", bool((a[idx, ar.neg] == 0).all())),
             ("multiplicative identity", bool((m[1] == idx).all())),
             ("zero annihilates", bool((m[0] == 0).all())),
+            ("inverses", bool((m[idx[1:], ar.inv[1:]] == 1).all())),
             ("addition commutes", bool((a == a.T).all())),
             ("multiplication commutes", bool((m == m.T).all())),
             # one first operand x at a time, so memory stays O(q^2)
@@ -305,9 +281,6 @@ class FieldSpec:
             ("distributivity",
              all((m[x][a] == a[m[x][:, None], m[x][None, :]]).all()
                  for x in range(q))),
-            ("inverses exist", bool((m[1:] == 1).any(axis=1).all())),
-            ("exp/log consistent",
-             all(self.exp_table[self.log_table[x]] == x for x in range(1, q))),
         ]
         for name, ok in checks:
             if not ok:
@@ -318,27 +291,25 @@ class FieldSpec:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        t = self._add_flat
-        if t is not None:
-            return t[a * self.q + b]
-        return self._add_raw(a, b)
+        if self.p == 2:
+            return a ^ b
+        if self.e == 1:
+            return self._sums[a + b]
+        log = self.log_table
+        la, lb = log[a], log[b]
+        if la > lb:
+            la, lb = lb, la
+        return self.exp_table[la + self._sums[lb - la]]
 
     def sub(self, a: int, b: int) -> int:
-        t = self._sub_flat
-        if t is not None:
-            return t[a * self.q + b]
-        return self._add_raw(a, self._neg[b])
+        return self.add(a, self._neg[b])
 
     def neg(self, a: int) -> int:
         return self._neg[a]
 
     def mul(self, a: int, b: int) -> int:
-        t = self._mul_flat
-        if t is not None:
-            return t[a * self.q + b]
-        if a == 0 or b == 0:
-            return 0
-        return self.exp_table[(self.log_table[a] + self.log_table[b]) % (self.q - 1)]
+        log = self.log_table
+        return self.exp_table[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -392,47 +363,35 @@ class FieldSpec:
 
 
 class FieldArrays:
-    """O(q) lookup arrays for arithmetic on numpy arrays of field codes.
+    """The field's tables as numpy arrays, for arithmetic on arrays of codes.
 
-    Multiplication goes through exp/log.  log maps 0 to 2(q-1), and exp is
-    zero from index 2(q-1) on, so a product with a zero factor needs no
-    branch.  Addition is XOR in characteristic 2, a table of residues
-    mod p in prime fields, and Zech logarithms otherwise:
-    g^a + g^b = g^(a + Z(b - a)) with Z(k) = log(1 + g^k).
+    These are the exp, log, neg, inv and addition tables that the scalar
+    FieldSpec methods read (see the module docstring), not a second
+    derivation: log maps 0 past the valid range and exp is zero there, so
+    a product with a zero factor needs no branch.
     """
 
     __slots__ = ("log", "exp", "inv", "neg", "add")
 
     def __init__(self, F: FieldSpec):
-        q, p = F.q, F.p
-        zero_log = 2 * (q - 1)
-        self.log = np.array(F.log_table, dtype=np.int32)
-        self.log[0] = zero_log
-        self.exp = np.zeros(2 * zero_log + 1, dtype=np.int32)
-        self.exp[:zero_log] = np.tile(np.array(F.exp_table, dtype=np.int32), 2)
-        self.inv = np.array(F._inv, dtype=np.int32)
-        self.neg = np.array(F._neg, dtype=np.int32)
-        if p == 2:
+        self.exp, self.log, self.neg, self.inv = (
+            np.array(t, dtype=np.int32)
+            for t in (F.exp_table, F.log_table, F._neg, F._inv))
+        if F.p == 2:
             self.add = np.bitwise_xor
-        elif F.e == 1:
-            residue = np.arange(2 * p - 1, dtype=np.int32) % p
-            self.add = lambda x, y: residue[x + y]
-        else:
-            # 1 + g^k only changes the constant digit of g^k
-            g_k = self.exp[: q - 1]
-            one_plus = g_k - g_k % p + (g_k % p + 1) % p
-            # Z(k) for 0 <= k < q-1; the differences past q-1 arise when
-            # exactly one summand is zero, and Z = 0 there returns the other
-            zech = np.zeros(zero_log + 1, dtype=np.int32)
-            zech[: q - 1] = self.log[one_plus]
-            log, exp = self.log, self.exp
+            return
+        sums = np.array(F._sums, dtype=np.int32)
+        if F.e == 1:
+            self.add = lambda x, y: sums[x + y]
+            return
+        log, exp = self.log, self.exp
 
-            def add(x, y):
-                lx, ly = log[x], log[y]
-                lo = np.minimum(lx, ly)
-                return exp[lo + zech[np.maximum(lx, ly) - lo]]
+        def add(x, y):
+            lx, ly = log[x], log[y]
+            lo = np.minimum(lx, ly)
+            return exp[lo + sums[np.maximum(lx, ly) - lo]]
 
-            self.add = add
+        self.add = add
 
     def mul(self, x, y):
         log = self.log

@@ -128,13 +128,8 @@ class MatGF:
             return NotImplemented
         self._require_same_shape(other)
         F = self.field
-        af = F._add_flat
-        q = F.q
-        if af is not None:
-            ent = tuple(af[a * q + b] for a, b in zip(self.entries, other.entries))
-        else:
-            ent = tuple(F.add(a, b) for a, b in zip(self.entries, other.entries))
-        return MatGF(F, self.m, self.n, ent)
+        return MatGF(F, self.m, self.n,
+                     tuple(F.add(a, b) for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "MatGF") -> "MatGF":
         if not isinstance(other, MatGF):

@@ -88,3 +88,29 @@ def ref_rref(F, rows):
 
 def ref_rank(F, rows) -> int:
     return len(ref_rref(F, rows)[1])
+
+
+def _ref_digits(F, a):
+    return [(a // F.p ** i) % F.p for i in range(F.e)]
+
+
+def ref_add(F, a, b) -> int:
+    """Sum of two codes as digit-wise addition mod p, with no field table."""
+    return sum((x + y) % F.p * F.p ** i
+               for i, (x, y) in enumerate(zip(_ref_digits(F, a), _ref_digits(F, b))))
+
+
+def ref_mul(F, a, b) -> int:
+    """Product of two codes as a schoolbook product of their residue
+    polynomials, reduced by the monic F.modulus (none in a prime field),
+    with no field table."""
+    p, e = F.p, F.e
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(_ref_digits(F, a)):
+        for j, y in enumerate(_ref_digits(F, b)):
+            prod[i + j] += x * y
+    for k in range(2 * e - 2, e - 1, -1):
+        c = prod[k] % p
+        for t, m in enumerate(F.modulus):
+            prod[k - e + t] -= c * m
+    return sum(c % p * p ** i for i, c in enumerate(prod[:e]))

@@ -369,3 +369,26 @@ def test_python_m_runs_the_cli():
     )
     assert proc.returncode == 0
     assert "count=2" in proc.stdout
+
+
+def test_python_m_cli_module_runs_the_cli(capsys):
+    argv = ["oracle", "--field", "GF(2)", "--shape", "2x2", "--rank", "2",
+            "--dim", "2", "--json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "constrank.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == expected
+    assert json.loads(proc.stdout)["count"] == 2
+    assert proc.stderr == ""
+    # a failing command keeps its exit code through the module form
+    proc = subprocess.run(
+        [sys.executable, "-m", "constrank.cli", "oracle", "--field", "GF(4)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert "characteristic 4 is not prime" in proc.stderr

@@ -9,6 +9,7 @@ verification.
 
 from __future__ import annotations
 
+import gc
 import pickle
 import tracemalloc
 
@@ -25,6 +26,7 @@ from constrank import (
     make_field,
     parse_field_descriptor,
 )
+from conftest import ref_add, ref_mul
 
 
 def test_prime_field_matches_integer_arithmetic():
@@ -95,15 +97,40 @@ def test_axiom_check_memory_is_quadratic_in_q():
     assert peak < 8 * 2 ** 20
 
 
-@pytest.mark.parametrize("entries", [[(2, 3)], [(2, 3), (3, 2)]],
-                         ids=["one entry", "symmetric pair"])
-def test_axiom_check_rejects_a_wrong_product(entries):
-    F = FieldSpec(5)
+@pytest.mark.parametrize("pe", [(251, 1), (2, 8)], ids=["GF(251)", "GF(2^8)"])
+def test_built_field_keeps_only_linear_tables(pe):
+    # q x q tables would hold about 1.5 MB at these orders
+    gc.collect()
+    tracemalloc.start()
+    try:
+        F = FieldSpec(*pe)
+        gc.collect()
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert F.q > 250
+    assert current < 256 * 2 ** 10
+
+
+# GF(5) is generated by g = 2, with g^1 = 2 and g^2 = 4; the exp table
+# holds g^k at k and again at k + 4
+@pytest.mark.parametrize("pe,changes", [
+    ((5, 1), {"exp_table": [(1, 3)]}),
+    # 2 and 4 swapped in both copies of exp and in log: the tables stay
+    # consistent with each other, but now 2 * 2 = 1
+    ((5, 1), {"exp_table": [(1, 4), (2, 2), (5, 4), (6, 2)],
+              "log_table": [(2, 2), (4, 1)]}),
+    ((5, 1), {"_sums": [(6, 2)]}),
+    ((3, 2), {"_sums": [(1, 0)]}),
+], ids=["one entry", "symmetric pair", "residue table", "Zech table"])
+def test_axiom_check_rejects_a_wrong_product(pe, changes):
+    F = FieldSpec(*pe)
     F._verify_axioms()
-    mul = list(F._mul_flat)
-    for a, b in entries:
-        mul[a * 5 + b] = 2
-    F._mul_flat = tuple(mul)
+    for table, entries in changes.items():
+        values = list(getattr(F, table))
+        for k, v in entries:
+            values[k] = v
+        setattr(F, table, tuple(values))
     with pytest.raises(InternalVerificationFailed):
         F._verify_axioms()
 
@@ -184,7 +211,10 @@ def test_descriptor_parse_errors_carry_position(text):
 
 
 def test_field_pickles_to_equal_field():
-    for F in (make_field(5), make_field(2, 3)):
+    for F in (make_field(5), make_field(2, 3), make_field(3, 2), make_field(257)):
         G = pickle.loads(pickle.dumps(F))
         assert G == F
         assert G.mul(2, 2) == F.mul(2, 2)
+        for a, b in [(2, 2), (3, 4), (F.q - 1, 1), (F.q - 1, F.q - 2), (0, F.q - 1)]:
+            assert G.add(a, b) == ref_add(F, a, b)
+            assert G.mul(a, b) == ref_mul(F, a, b)

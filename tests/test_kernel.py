@@ -1,8 +1,10 @@
 """The batched span-rank and reduction kernels against scalar references.
 
 The references go only through the field's scalar methods (add, sub, mul,
-inv) and itertools, so they share no table, array or block code with the
-kernel.  Every case is seeded.
+inv) and itertools, so they share no array or block code with the kernel.
+The scalar methods and the kernels read the same field tables, which
+test_field_arrays_match_scalar_arithmetic checks against a digit-wise
+reference.  Every case is seeded.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import constrank.subspace as subspace_mod
 from constrank.cli import main
 from constrank.matrix import _kernel_batch, _rank_table, rank_batch, rref_batch
 from constrank.subspace import _BLOCK_CAP, _BLOCK_START
-from conftest import ref_rank, ref_rref
+from conftest import ref_add, ref_mul, ref_rank, ref_rref
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -160,18 +162,31 @@ def test_rank_table_matches_scalar_elimination(pe, m, n, monkeypatch):
         assert table[code] == ref_rank(F, rows), (code, rows)
 
 
-@pytest.mark.parametrize("pe", FIELDS, ids=_field_id)
+@pytest.mark.parametrize("pe", FIELDS + [(2, 16)], ids=_field_id)
 def test_field_arrays_match_scalar_arithmetic(pe):
+    """Scalar and array arithmetic both equal the digit-wise reference
+    (conftest.ref_add, ref_mul), which shares no table with the field."""
     F = make_field(*pe)
-    rng = random.Random(f"arrays:{pe}")
-    x = [rng.randrange(F.q) for _ in range(300)] + [0, 0, 1]
-    y = [rng.randrange(F.q) for _ in range(300)] + [0, 5 % F.q, 0]
+    q = F.q
+    if q <= 16:
+        pairs = list(itertools.product(range(q), repeat=2))
+    else:
+        rng = random.Random(f"arrays:{pe}")
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(300)]
+        pairs += [(0, 0), (0, 5), (1, 0), (q - 1, q - 1)]
+    x, y = (list(t) for t in zip(*pairs))
+    sums = [ref_add(F, a, b) for a, b in pairs]
+    prods = [ref_mul(F, a, b) for a, b in pairs]
+    assert [F.add(a, b) for a, b in pairs] == sums
+    assert [F.sub(s, b) for s, b in zip(sums, y)] == x
+    assert [F.mul(a, b) for a, b in pairs] == prods
+    assert all(ref_add(F, a, F.neg(a)) == 0 for a in x)
+    assert all(ref_mul(F, a, F.inv(a)) == 1 for a in x if a)
     ar = F.arrays
-    assert ar.add(np.array(x), np.array(y)).tolist() == \
-        [F.add(a, b) for a, b in zip(x, y)]
-    assert ar.mul(np.array(x), np.array(y)).tolist() == \
-        [F.mul(a, b) for a, b in zip(x, y)]
-    assert ar.add(np.array(x), ar.neg[np.array(x)]).tolist() == [0] * len(x)
+    assert ar.add(np.array(x), np.array(y)).tolist() == sums
+    assert ar.mul(np.array(x), np.array(y)).tolist() == prods
+    assert ar.neg[np.array(x)].tolist() == [F.neg(a) for a in x]
+    assert ar.inv[np.array(x)].tolist() == [F.inv(a) if a else 0 for a in x]
 
 
 @pytest.mark.parametrize("pe", FIELDS, ids=_field_id)
