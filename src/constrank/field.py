@@ -207,26 +207,31 @@ class FieldSpec:
                     prod[k - e + t] -= c * mod[t]
         return sum(c % p * p ** i for i, c in enumerate(prod[:e]))
 
+    def _pow_raw(self, a: int, k: int) -> int:
+        """a^k by square-and-multiply with _mul_raw."""
+        out = 1
+        while k:
+            if k & 1:
+                out = self._mul_raw(out, a)
+            a = self._mul_raw(a, a)
+            k >>= 1
+        return out
+
     def _build_tables(self) -> None:
         q, p = self.q, self.p
-        exp = log = None
-        # g = 1 generates the group only when q = 2
+        # g generates the multiplicative group when g^((q-1)/l) != 1 for
+        # every prime l dividing q - 1; g = 1 passes only when q = 2
+        primes = [l for l in range(2, q) if (q - 1) % l == 0 and _is_prime(l)]
         for g in range(1, q):
-            cand_exp = [0] * (q - 1)
-            cand_log = [-1] * q
-            val = 1
-            ok = True
-            for i in range(q - 1):
-                if cand_log[val] != -1:
-                    ok = False
-                    break
-                cand_exp[i] = val
-                cand_log[val] = i
-                val = self._mul_raw(val, g)
-            if ok and val == 1:
-                exp, log = cand_exp, cand_log
+            if all(self._pow_raw(g, (q - 1) // l) != 1 for l in primes):
                 break
-        if exp is None:
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(self._mul_raw(exp[-1], g))
+        log = [-1] * q
+        for i, v in enumerate(exp):
+            log[v] = i
+        if -1 in log[1:]:
             raise InternalVerificationFailed(
                 f"no primitive element found for order {q}"
             )

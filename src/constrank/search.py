@@ -31,6 +31,8 @@ import itertools
 import multiprocessing
 import os
 import time
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
@@ -128,6 +130,7 @@ class _Engine:
     def __init__(self, field, m, n, r, target_dim, budget, count_all):
         q = field.q
         mn = m * n
+        self.args = (field, m, n, r, target_dim, budget, count_all)
         self.field = field
         self.ar = field.arrays
         self.q = q
@@ -138,16 +141,10 @@ class _Engine:
         self.target_dim = target_dim
         self.budget = budget
         self.count_all = count_all
-        self.nodes = 0
-        self.found_count = 0
-        self.witness: list[int] | None = None
-        self.chain: list[int] = []
-        self.pivot_mask = 0
         table = _rank_table(field, m, n) if q ** mn <= POOL_CAP else None
         self.table = table
         self.table_np = None if table is None else np.frombuffer(table, np.uint8)
         self.xor = table is not None and field.p == 2
-        self.span = [] if self.xor else np.zeros((0, mn), dtype=np.int32)
         self.scalars = np.arange(1, q, dtype=np.int32)
         if table is not None:
             # digit rows to codes; only codes below q^(mn) <= POOL_CAP
@@ -164,6 +161,10 @@ class _Engine:
                       for base, head, t, supp in self._blocks(0, 0)]
             self.codes = np.concatenate([c for c, _ in blocks])
             self.supports = np.concatenate([s for _, s in blocks])
+
+    def __reduce__(self):
+        # a worker started by spawn or forkserver builds its own engine
+        return _Engine, self.args
 
     # -- candidates ----------------------------------------------------------
 
@@ -229,23 +230,25 @@ class _Engine:
 
     # -- traversal -----------------------------------------------------------
 
-    def run(self, lo: int, hi: int) -> "_ChunkResult":
-        """Search from the depth-1 candidates codes[lo:hi] (every candidate
-        when streaming)."""
-        budget_hit = False
+    def run(self, lo: int, hi: int, found_at=None):
+        """Search afresh from the depth-1 candidates codes[lo:hi] (every
+        candidate when streaming): (nodes, found count, codes of the first
+        witness or None, whether the budget stopped the search).  found_at,
+        if given, receives the node count at each find."""
+        self.found_at = found_at
+        self.nodes = self.found_count = 0
+        self.witness: list[int] | None = None
+        self.chain: list[int] = []
+        self.span = [] if self.xor else np.zeros((0, self.mn), dtype=np.int32)
+        self.pivot_mask = 0
         try:
-            if self.codes is None:
-                self._extend(0, self._after(0))
-            else:
-                self._extend(0, self._pool_range(lo, hi, 0))
+            self._extend(0, self._after(0) if self.codes is None
+                         else self._pool_range(lo, hi, 0))
         except _FoundEarly:
             pass
         except _BudgetHit:
-            budget_hit = True
-        chain = None
-        if self.witness is not None:
-            chain = [tuple(_digits(X, self.q, self.mn)) for X in self.witness]
-        return _ChunkResult(chain, self.nodes, self.found_count, budget_hit)
+            return self.nodes, self.found_count, self.witness, True
+        return self.nodes, self.found_count, self.witness, False
 
     def _extend(self, depth: int, candidates) -> None:
         last = self.target_dim - 1
@@ -303,6 +306,8 @@ class _Engine:
 
     def _record(self, X: int) -> None:
         self.found_count += 1
+        if self.found_at is not None:
+            self.found_at.append(self.nodes)
         if self.witness is None:
             self.witness = self.chain + [X]
         if not self.count_all:
@@ -331,19 +336,6 @@ def _digits(X: int, q: int, length: int) -> list[int]:
     return out
 
 
-@dataclass
-class _ChunkResult:
-    witness_chain: list | None
-    nodes: int
-    found_count: int
-    budget_hit: bool
-
-
-def _search_chunk(field, m, n, r, target_dim, lo, hi, budget, count_all):
-    engine = _Engine(field, m, n, r, target_dim, budget, count_all)
-    return engine.run(lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # public search entry point
 # ---------------------------------------------------------------------------
@@ -358,15 +350,13 @@ def search_constant_rank(F: FieldSpec, m: int, n: int, r: int,
 
     With count_all the whole canonical tree is traversed and found_count
     reports the exact number of such subspaces (the witness returned is
-    still the first in canonical order).  Worker splitting partitions the
-    depth-1 candidates into contiguous chunks, each run in its own
-    process under a budget of ceil(budget / workers) nodes; the worker
-    count is capped at the number of cores and of depth-1 candidates,
-    and the budget is split over the capped count; chunks are
-    merged in order, so witnesses match the single-worker run.  When the
-    scalar-class count of the ambient space exceeds the pool cap,
-    candidates are streamed instead of pooled and the search runs in a
-    single worker.
+    still the first in canonical order).  Several workers (at most one
+    per core and per depth-1 candidate) run the serial engine on batches
+    of depth-1 candidates handed out in index order, each under the whole
+    budget, and their records merge into the serial result: the outcome
+    does not depend on the worker count.  When the scalar-class count of
+    the ambient space exceeds the pool cap, candidates are streamed
+    instead of pooled and the search runs in one process.
     """
     if not 1 <= r <= m <= n:
         raise ShapeViolation(f"need 1 <= r <= m <= n, got r={r}, m={m}, n={n}")
@@ -380,16 +370,14 @@ def search_constant_rank(F: FieldSpec, m: int, n: int, r: int,
     engine = _Engine(F, m, n, r, target_dim, budget, count_all)
     pool_len = 0 if engine.codes is None else len(engine.codes)
     workers = _worker_count(workers, pool_len)
-    if workers == 1:
-        res = engine.run(0, pool_len)
-    else:
-        res = _run_chunked(F, m, n, r, target_dim, pool_len, budget, workers,
-                           count_all)
+    nodes, found_count, chain, budget_hit = (
+        engine.run(0, pool_len) if workers == 1
+        else _run_parallel(engine, pool_len, workers))
 
     witness = None
-    if res.witness_chain is not None:
-        witness = SubspaceBasis([MatGF(F, m, n, ent)
-                                 for ent in res.witness_chain])
+    if chain is not None:
+        witness = SubspaceBasis([MatGF(F, m, n, _digits(X, F.q, m * n))
+                                 for X in chain])
         # the traversal already checked every element of the witness span,
         # so its size is not held to the enumeration budget
         ok, bad = is_constant_rank(witness, r, budget=F.q ** target_dim)
@@ -398,7 +386,7 @@ def search_constant_rank(F: FieldSpec, m: int, n: int, r: int,
                 f"search produced an invalid witness (offender {bad!r})"
             )
 
-    if res.budget_hit and (count_all or witness is None):
+    if budget_hit and (count_all or witness is None):
         status = SearchStatus.BUDGET_EXCEEDED
     elif witness is not None:
         status = SearchStatus.FOUND
@@ -407,9 +395,9 @@ def search_constant_rank(F: FieldSpec, m: int, n: int, r: int,
     return SearchOutcome(
         status=status,
         witness=witness,
-        nodes_explored=res.nodes,
+        nodes_explored=nodes,
         elapsed=time.perf_counter() - start,
-        found_count=res.found_count,
+        found_count=found_count,
     )
 
 
@@ -418,35 +406,49 @@ def _worker_count(requested: int, pool_len: int) -> int:
     return max(1, min(requested, pool_len, os.cpu_count() or 1))
 
 
-def _run_chunked(F, m, n, r, target_dim, pool_len, budget, workers, count_all):
-    per_worker = -(-budget // workers)
-    bounds = [
-        (pool_len * w // workers, pool_len * (w + 1) // workers)
-        for w in range(workers)
-    ]
-    bounds = [(lo, hi) for lo, hi in bounds if lo < hi]
-    chain = None
-    nodes = 0
-    found_count = 0
-    budget_hit = False
-    # leaving the with block terminates the workers, so chunks after a
-    # find stop at once instead of running to the end
-    with multiprocessing.Pool(len(bounds)) as pool:
-        pending = [
-            pool.apply_async(_search_chunk, (F, m, n, r, target_dim, lo, hi,
-                                             per_worker, count_all))
-            for lo, hi in bounds
-        ]
-        for job in pending:
-            res = job.get()
-            nodes += res.nodes
-            found_count += res.found_count
-            budget_hit = budget_hit or res.budget_hit
-            if chain is None:
-                chain = res.witness_chain
-            if chain is not None and not count_all:
+def _run_parallel(engine, pool_len, workers):
+    """engine.run(0, pool_len), from worker processes that run copies of
+    the engine on batches of consecutive depth-1 candidates.  The serial
+    budget point lies in the first batch that overruns the rest of the
+    budget, and the node counts of that batch's finds tell which of them
+    come before it."""
+    nodes = found_count = 0
+    witness = None
+    batches, lo = [], 0
+    while lo < pool_len:
+        # single candidates first, then ranges that grow with their start:
+        # a later candidate has fewer successors in the canonical order
+        batches.append((lo, min(pool_len, lo + 1 + lo // (8 * workers))))
+        lo = batches[-1][1]
+    # leaving the with block stops the batches after the deciding one
+    with multiprocessing.Pool(workers, _start_worker, (engine,)) as pool:
+        for n, found_at, w, hit in pool.imap(_run_batch, batches):
+            left = engine.budget - nodes
+            if n > left:
+                k = bisect_right(found_at, left)
+                witness = witness or (w if k else None)
+                return engine.budget, found_count + k, witness, True
+            nodes += n
+            found_count += len(found_at)
+            witness = witness or w
+            if hit or w is not None and not engine.count_all:
                 break
-    return _ChunkResult(chain, nodes, found_count, budget_hit)
+    return nodes, found_count, witness, hit
+
+
+# the engine of a worker process, set once by _start_worker
+_worker_engine: _Engine | None = None
+
+
+def _start_worker(engine: _Engine) -> None:
+    global _worker_engine
+    _worker_engine = engine
+
+
+def _run_batch(bounds: tuple[int, int]):
+    found_at = array("q")
+    nodes, _, witness, hit = _worker_engine.run(*bounds, found_at)
+    return nodes, found_at, witness, hit
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,29 @@ def test_search_all_counts_everything(capsys):
     assert _kv(captured.err)["found_count"] == "1176"
 
 
+@pytest.mark.parametrize("extra,code", [
+    ([], 0),
+    (["--all"], 0),
+    (["--budget", "187"], 0),
+    (["--budget", "186"], 3),
+    (["--all", "--budget", "187"], 3),
+], ids=["find", "all", "budget-at-find", "budget-before-find", "all-budget"])
+def test_search_output_does_not_depend_on_workers(extra, code, capsys,
+                                                  monkeypatch):
+    # 187 nodes is where the serial search finds its witness
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["search", "--field", "GF(2)", "--shape", "3x3", "--rank", "2",
+            "--dim", "4", *extra]
+    runs = []
+    for workers in ("1", "2"):
+        assert main([*argv, "--workers", workers]) == code
+        captured = capsys.readouterr()
+        report = captured.err.replace(f"workers={workers}\n", "")
+        assert report != captured.err
+        runs.append((captured.out, report))
+    assert runs[0] == runs[1]
+
+
 def test_search_oracle_delegates_to_census(capsys):
     code = main(["search", "--field", "GF(2)", "--shape", "3x3",
                  "--rank", "2", "--dim", "4", "--oracle"])

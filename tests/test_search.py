@@ -11,7 +11,9 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import multiprocessing
 import os
+import pickle
 import time
 import tracemalloc
 
@@ -19,6 +21,7 @@ import pytest
 
 import constrank.search as search_mod
 from constrank import (
+    DEFAULT_CENSUS_BUDGET,
     BudgetExceeded,
     SearchStatus,
     ShapeViolation,
@@ -29,6 +32,7 @@ from constrank import (
     search_constant_rank,
 )
 from conftest import ref_rank
+import reference
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -158,8 +162,9 @@ def test_workers_do_not_change_the_answer(gf2, gf3):
 
 
 def test_parallel_find_stops_the_chunks_after_it(gf2):
-    # the witness lies in the first chunk; the second chunk's tree takes
-    # minutes, so this only returns in time if that chunk is stopped
+    # the witness lies under the first depth-1 candidate; the second
+    # candidate's tree takes minutes, so this only returns in time if the
+    # worker running it is stopped
     base = search_constant_rank(gf2, 4, 4, 3, 5)
     t0 = time.perf_counter()
     multi = search_constant_rank(gf2, 4, 4, 3, 5, workers=2)
@@ -167,6 +172,75 @@ def test_parallel_find_stops_the_chunks_after_it(gf2):
     assert multi.status is base.status is SearchStatus.FOUND
     assert multi.witness == base.witness
     assert multi.nodes_explored == base.nodes_explored == 10680
+
+
+def _summary(out):
+    return out.status, out.witness, out.nodes_explored, out.found_count
+
+
+@pytest.mark.parametrize("box", [(3, 3, 2, 4), (3, 4, 2, 4), (4, 4, 2, 4),
+                                 (4, 4, 3, 4)],
+                         ids=lambda box: "{}x{}-r{}-d{}".format(*box))
+def test_two_workers_give_the_serial_result_at_the_budget(gf2, box,
+                                                          monkeypatch):
+    # the budget falls one node before, at and one node after the serial
+    # find, inside the first depth-1 candidate's tree or a later one's
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    nodes = search_constant_rank(gf2, *box).nodes_explored
+    for budget in (nodes - 1, nodes, nodes + 1):
+        for count_all in (False, True):
+            kwargs = {"budget": budget, "count_all": count_all}
+            serial = search_constant_rank(gf2, *box, **kwargs)
+            multi = search_constant_rank(gf2, *box, workers=2, **kwargs)
+            assert _summary(multi) == _summary(serial), (budget, count_all)
+
+
+def test_two_workers_give_the_serial_count_on_the_census_grid(monkeypatch):
+    # the grid of acceptance criterion 9, traversed to the end, up to the
+    # first dimension that exhausts: every higher one traverses that tree
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    shapes = {
+        2: [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)],
+        3: [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)],
+    }
+    for q, boxes in shapes.items():
+        F = make_field(q)
+        for m, n in boxes:
+            for r in range(1, m + 1):
+                for dim in range(1, m * n + 1):
+                    if gaussian_binomial(q, m * n, dim) > 10 ** 7:
+                        continue
+                    serial = search_constant_rank(F, m, n, r, dim,
+                                                  count_all=True)
+                    multi = search_constant_rank(F, m, n, r, dim,
+                                                 count_all=True, workers=2)
+                    assert _summary(multi) == _summary(serial), \
+                        (q, m, n, r, dim)
+                    if serial.status is SearchStatus.EXHAUSTED_NONE:
+                        break
+
+
+@pytest.mark.parametrize("field", [(3,), (3, 2)], ids=["GF(3)", "GF(9)"])
+def test_engine_pickles_as_its_arguments(field):
+    # a worker started by spawn or forkserver unpickles the engine; the
+    # field arrays of an odd characteristic hold functions that do not
+    engine = search_mod._Engine(make_field(*field), 2, 2, 2, 2, 100, True)
+    copy = pickle.loads(pickle.dumps(engine))
+    assert copy.run(0, len(copy.codes)) == engine.run(0, len(engine.codes))
+
+
+def test_two_workers_give_the_serial_result_under_spawn(monkeypatch):
+    # spawned workers unpickle the engine instead of inheriting it; the
+    # GF(3) budget falls inside the tree (7,800 nodes in all)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search_mod, "multiprocessing",
+                        multiprocessing.get_context("spawn"))
+    for field, n, budget in (((3,), 3, 5000), ((3, 2), 2, 10 ** 6)):
+        F = make_field(*field)
+        kwargs = {"budget": budget, "count_all": True}
+        serial = search_constant_rank(F, 2, n, 2, 2, **kwargs)
+        multi = search_constant_rank(F, 2, n, 2, 2, workers=2, **kwargs)
+        assert _summary(multi) == _summary(serial), field
 
 
 def test_witness_larger_than_the_enumeration_budget_is_verified():
@@ -270,16 +344,20 @@ _NON_BINARY_PINS = [
          for f, m, n, r, d, a, b, *_ in _NON_BINARY_PINS])
 def test_non_binary_accounting_is_pinned(field, m, n, r, dim, count_all,
                                          budget, status, nodes, found,
-                                         witness):
+                                         witness, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     kwargs = {"count_all": count_all}
     if budget is not None:
         kwargs["budget"] = budget
-    out = search_constant_rank(make_field(*field), m, n, r, dim, **kwargs)
-    assert out.status.value == status
-    assert out.nodes_explored == nodes
-    assert out.found_count == found
-    got = None if out.witness is None else [B.entries for B in out.witness.basis]
-    assert got == witness
+    for workers in (1, 2):
+        out = search_constant_rank(make_field(*field), m, n, r, dim,
+                                   workers=workers, **kwargs)
+        assert out.status.value == status, workers
+        assert out.nodes_explored == nodes, workers
+        assert out.found_count == found, workers
+        got = (None if out.witness is None
+               else [B.entries for B in out.witness.basis])
+        assert got == witness, workers
 
 
 def test_search_validation(gf2):
@@ -396,6 +474,46 @@ def test_census_matches_reference(field, m, n, max_dim, path, monkeypatch):
         expected = _reference_census(field, m, n, dim)
         for r in range(1, m + 1):
             assert brute_force_census(F, m, n, r, dim) == expected[r], (r, dim)
+
+
+def _closed_form_check(F, m, n, r, dim, expected, monkeypatch):
+    if reference.gaussian_binomial(F.q, m * n, dim) <= DEFAULT_CENSUS_BUDGET:
+        assert brute_force_census(F, m, n, r, dim) == expected
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for workers in (1, 2):
+        out = search_constant_rank(F, m, n, r, dim, count_all=True,
+                                   workers=workers)
+        assert out.status is not SearchStatus.BUDGET_EXCEEDED
+        assert out.found_count == expected, workers
+
+
+# (field, m, n, dim); the census refuses the last four boxes
+_RANK_ONE_BOXES = [
+    ((2,), 1, 3, 2), ((2,), 2, 3, 2), ((2,), 3, 3, 2), ((2,), 2, 4, 3),
+    ((3,), 2, 3, 3), ((5,), 2, 3, 1), ((2, 2), 2, 2, 2), ((3, 2), 2, 2, 2),
+    ((2,), 4, 4, 3), ((2,), 3, 5, 3), ((3,), 3, 3, 3), ((2, 2), 3, 3, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "field,m,n,dim", _RANK_ONE_BOXES,
+    ids=[f"GF({make_field(*f).q})-{m}x{n}-d{d}" for f, m, n, d in _RANK_ONE_BOXES])
+def test_rank_one_count_matches_the_closed_form(field, m, n, dim,
+                                                 monkeypatch):
+    F = make_field(*field)
+    expected = reference.rank_one_count(F.q, m, n, dim)
+    _closed_form_check(F, m, n, 1, dim, expected, monkeypatch)
+
+
+_PLANE_FIELDS = [(2,), (3,), (2, 2), (5,), (7,), (3, 2), (13,)]
+
+
+@pytest.mark.parametrize("field", _PLANE_FIELDS,
+                         ids=[f"GF({make_field(*f).q})" for f in _PLANE_FIELDS])
+def test_invertible_plane_count_matches_the_closed_form(field, monkeypatch):
+    F = make_field(*field)
+    expected = reference.invertible_plane_count(F.q)
+    _closed_form_check(F, 2, 2, 2, 2, expected, monkeypatch)
 
 
 def test_census_memory_is_bounded_by_the_block(gf2):
