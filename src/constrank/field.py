@@ -217,6 +217,27 @@ class FieldSpec:
             k >>= 1
         return out
 
+    def _powers(self, g: int) -> list[int]:
+        """Codes of g^k for k < q - 1 in an extension field.
+
+        Row t of the matrix of multiplication by g holds the digits of
+        x^t g, each row the one before times x: a shift and one reduction
+        by the monic modulus.  The powers are then listed by doubling,
+        g^(n + k) = g^k g^n, so numpy forms all of them in log2(q) steps.
+        """
+        p, e = self.p, self.e
+        rows = [[g // p ** i % p for i in range(e)]]
+        for _ in range(e - 1):
+            top, shifted = rows[-1][-1], [0] + rows[-1][:-1]
+            rows.append([(a - top * c) % p
+                         for a, c in zip(shifted, self.modulus)])
+        step = np.array(rows, dtype=np.int64)
+        powers = np.eye(1, e, dtype=np.int64)   # the digits of g^0
+        while len(powers) < self.q - 1:
+            powers = np.concatenate((powers, powers @ step % p))
+            step = step @ step % p
+        return (powers[: self.q - 1] @ p ** np.arange(e)).tolist()
+
     def _build_tables(self) -> None:
         q, p = self.q, self.p
         # g generates the multiplicative group when g^((q-1)/l) != 1 for
@@ -225,9 +246,12 @@ class FieldSpec:
         for g in range(1, q):
             if all(self._pow_raw(g, (q - 1) // l) != 1 for l in primes):
                 break
-        exp = [1]
-        for _ in range(q - 2):
-            exp.append(self._mul_raw(exp[-1], g))
+        if self.e == 1:
+            exp = [1]
+            for _ in range(q - 2):
+                exp.append(exp[-1] * g % p)
+        else:
+            exp = self._powers(g)
         log = [-1] * q
         for i, v in enumerate(exp):
             log[v] = i

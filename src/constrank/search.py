@@ -7,17 +7,22 @@ so far, have first nonzero entry 1, and come lexicographically after its
 predecessor.  Those three conditions make B_k the least element of
 span(B_1..B_k) \\ span(B_1..B_{k-1}), so every subspace is produced by
 exactly one chain and an exhausted tree is a proof of non-existence.
-Rank checking is incremental: only the elements new to the enlarged span
-are examined, and scalar invariance of rank cuts that to the single
-coset B_k + span.
+Rank checking looks ahead: when B_k enters, the only new elements are
+c B_k + s for c != 0 and s in the old span or 0, so a later candidate
+stays compatible with the chain when it plus each of those has rank r.
 
 One engine serves every field.  It stores each matrix as a base-q
 integer code, entry (0,0) most significant, so integer order is the
 lexicographic order above and a GF(2) code is the packed bit word.
 Candidates are ranked in numpy blocks, and the test that a candidate
-vanishes at the leading positions is a mask on its support.  The coset
-check reads a rank table indexed by code when there are at most POOL_CAP
-codes; in characteristic 2 the sum of two codes is then their XOR.
+vanishes at the leading positions is a mask on its support.  When the
+candidates fit in memory (the pool), each depth keeps the compatibility
+of its children, one numpy pass over a block of siblings decides which
+of their children stay compatible, and nodes are counted in bulk.  The
+pass reads a rank table indexed by code when there are at most POOL_CAP
+codes (in characteristic 2 the sum of two codes is then their XOR), and
+calls rank_batch otherwise.  Candidates streamed at each depth instead
+are checked one node at a time.
 
 brute_force_census enumerates ALL subspaces of a given dimension via
 reduced-echelon bases, in numpy blocks for every field (XOR of codes in
@@ -74,9 +79,9 @@ class SearchStatus(str, Enum):
 class SearchOutcome:
     """Result of one search run.
 
-    nodes_explored counts extension attempts (candidates that reached the
-    incremental rank check); with count_all the tree is traversed fully
-    and found_count totals the distinct subspaces hit.
+    nodes_explored counts the nodes reached: each candidate extension of
+    an accepted chain, compatible or not; with count_all the tree is
+    traversed fully and found_count totals the distinct subspaces hit.
     """
 
     status: SearchStatus
@@ -101,6 +106,10 @@ class _BudgetHit(Exception):
 # Candidate codes are ranked in blocks of at most this many codes, or of q
 # codes when q is larger.
 _BLOCK = 4096
+# A look-ahead pass checks at most this many sums (siblings x elements
+# they add to the span x later compatible candidates); at least one
+# sibling always goes in.
+_LOOK_AHEAD = 1 << 14
 
 
 class _Engine:
@@ -110,21 +119,31 @@ class _Engine:
     row-major entries, entry (0,0) most significant, so integer order is
     entry-lexicographic order and a GF(2) code is the packed bit word.
     Its support is the bit mask of its nonzero entries, in the same bit
-    order.  Candidates are the projective codes, those in [q^k, 2q^k)
-    for some k (first nonzero entry 1), of rank r, in ascending order.
-    They are ranked in numpy blocks and kept as arrays (the pool) when
-    there are at most POOL_CAP projective codes, and generated again at
-    each depth (the stream) otherwise.  A depth takes the candidates
-    above the previous chain element whose support misses the pivot
-    mask, the leading positions of the chain; that filter runs on a
-    numpy array of supports.
+    order, and its lead the highest bit of the support.  Candidates are
+    the projective codes, those in [q^k, 2q^k) for some k (first nonzero
+    entry 1), of rank r, in ascending order.  They are ranked in numpy
+    blocks and kept as arrays (the pool) when there are at most POOL_CAP
+    projective codes, and generated again at each depth (the stream)
+    otherwise.  The children of a chain are the candidates above its
+    last element whose support misses the lead of every element in it
+    (the pivot mask); each child is a node.
 
-    A rank table indexed by code is used when q^(mn) <= POOL_CAP.  In
-    characteristic 2 the base-2^e digits are bit fields, so the sum of
-    two codes is their XOR and the coset check is a pure-Python loop of
-    table lookups.  Otherwise the span is kept as an array of digit rows
-    and each check is one numpy call: table lookups, or rank_batch when
-    there is no table.
+    A pooled search looks ahead.  A depth holds the children of the
+    chain and, for each, whether it is compatible with the span: Z + s
+    has rank r for every s in it.  For a block of compatible siblings Y,
+    one numpy pass finds every Y's children and which of the compatible
+    ones stay compatible once Y enters: Z + t has rank r for every
+    t = c Y + s, c != 0 and s in the span or 0.  The pass reads the rank
+    table (XOR of codes in characteristic 2, digit rows otherwise), or
+    calls rank_batch when there is no table.  Nodes are counted in bulk,
+    by prefix sums over the block: the incompatible siblings, the
+    children of a sibling with no compatible child (it is not entered),
+    those of a sibling with one (whose children cannot be compatible)
+    and the leaves at the last depth, whose compatible ones are finds.
+    A budget stops the count at exactly the budget.
+
+    The stream has no rank table.  It checks one node at a time, ranking
+    X + s for every s in the span with rank_batch.
     """
 
     def __init__(self, field, m, n, r, target_dim, budget, count_all):
@@ -142,25 +161,27 @@ class _Engine:
         self.budget = budget
         self.count_all = count_all
         table = _rank_table(field, m, n) if q ** mn <= POOL_CAP else None
-        self.table = table
-        self.table_np = None if table is None else np.frombuffer(table, np.uint8)
+        self.table = None if table is None else np.frombuffer(table, np.uint8)
+        # with a table in characteristic 2, span elements are codes and
+        # sums of codes are XORs; otherwise they are digit rows
         self.xor = table is not None and field.p == 2
         self.scalars = np.arange(1, q, dtype=np.int32)
-        if table is not None:
-            # digit rows to codes; only codes below q^(mn) <= POOL_CAP
-            self.weights = q ** np.arange(mn - 1, -1, -1, dtype=np.int64)
+        # digit rows to codes, for table lookups: q^(mn) <= POOL_CAP
+        self.weights = q ** np.arange(mn - 1, -1, -1, dtype=np.int64)
         # codes are generated in blocks that share all but their last
         # low_len digits, q^low_len codes at most
         low_len = 1
         while low_len < mn and q ** (low_len + 1) <= _BLOCK:
             low_len += 1
         self.low_len = low_len
-        self.codes = self.supports = None
+        self.codes = self.supports = self.leads = None
         if (q ** mn - 1) // (q - 1) <= POOL_CAP:
             blocks = [(base + t, head | supp)
                       for base, head, t, supp in self._blocks(0, 0)]
             self.codes = np.concatenate([c for c, _ in blocks])
             self.supports = np.concatenate([s for _, s in blocks])
+            # supports are below 2^mn <= 2^22, exact as floats
+            self.leads = (1 << np.frexp(self.supports)[1]) >> 1
 
     def __reduce__(self):
         # a worker started by spawn or forkserver builds its own engine
@@ -194,8 +215,8 @@ class _Engine:
             if after >= base:
                 rows = rows[rows > after - base]
             rows = rows[(low_supp[rows] & low_mask) == 0]
-            if self.table_np is not None:
-                ranks = self.table_np[base + rows]
+            if self.table is not None:
+                ranks = self.table[base + rows]
             else:
                 block = np.empty((len(rows), mn), dtype=np.int32)
                 block[:, :high_len] = head_digits
@@ -205,28 +226,11 @@ class _Engine:
             yield base, head, hit, low_supp[hit]
 
     def _after(self, X: int):
-        """(code, support) pairs of the candidates above X whose support
-        misses the pivot mask, ascending."""
-        mask = self.pivot_mask
-        if self.codes is None:
-            return ((base + t, head | s)
-                    for base, head, hit, supp in self._blocks(X, mask)
-                    for t, s in zip(hit.tolist(), supp.tolist()))
-        lo = int(self.codes.searchsorted(X, "right"))
-        return self._pool_range(lo, len(self.codes), mask)
-
-    def _pool_range(self, lo: int, hi: int, mask: int):
-        if hi - lo <= _BLOCK:
-            return self._pool_chunk(lo, hi, mask)
-        # chunk by chunk, so a long range is never one Python list
-        return itertools.chain.from_iterable(
-            self._pool_chunk(a, min(a + _BLOCK, hi), mask)
-            for a in range(lo, hi, _BLOCK))
-
-    def _pool_chunk(self, lo: int, hi: int, mask: int):
-        supp = self.supports[lo:hi]
-        keep = (supp & mask) == 0
-        return zip(self.codes[lo:hi][keep].tolist(), supp[keep].tolist())
+        """(code, support) pairs of the streamed candidates above X whose
+        support misses the pivot mask, ascending."""
+        return ((base + t, head | s)
+                for base, head, hit, supp in self._blocks(X, self.pivot_mask)
+                for t, s in zip(hit.tolist(), supp.tolist()))
 
     # -- traversal -----------------------------------------------------------
 
@@ -239,78 +243,183 @@ class _Engine:
         self.nodes = self.found_count = 0
         self.witness: list[int] | None = None
         self.chain: list[int] = []
-        self.span = [] if self.xor else np.zeros((0, self.mn), dtype=np.int32)
-        self.pivot_mask = 0
         try:
-            self._extend(0, self._after(0) if self.codes is None
-                         else self._pool_range(lo, hi, 0))
+            if self.codes is None:
+                self.span = np.zeros((1, self.mn), dtype=np.int32)
+                self.pivot_mask = 0
+                self._extend(0, self._after(0))
+            elif self.target_dim == 1:
+                self._leaves(hi - lo, np.arange(1, hi - lo + 1),
+                             [int(self.codes[lo])])
+            else:
+                zero = (np.zeros(1, dtype=np.int64) if self.xor
+                        else np.zeros((1, self.mn), dtype=np.int32))
+                codes = self.codes[lo:]
+                self._level(0, codes, self.supports[lo:], self.leads[lo:],
+                            np.ones(len(codes), dtype=bool), zero, hi - lo)
         except _FoundEarly:
             pass
         except _BudgetHit:
             return self.nodes, self.found_count, self.witness, True
         return self.nodes, self.found_count, self.witness, False
 
+    def _count(self, nodes) -> None:
+        """Count nodes that hold no find; stop at exactly the budget."""
+        if self.nodes + nodes > self.budget:
+            self.nodes = self.budget
+            raise _BudgetHit
+        self.nodes += int(nodes)
+
+    def _leaves(self, nodes, finds, ends) -> None:
+        """Count nodes that end at the last depth.  The ascending 1-based
+        offsets finds are those of the finds; the first of them ends the
+        chain with the codes ends."""
+        k = int(finds.searchsorted(self.budget - self.nodes, "right"))
+        if k:
+            at = self.nodes + finds[:k if self.count_all else 1]
+            self._record(ends, at.tolist())
+        self._count(nodes)
+
+    def _level(self, depth, codes, supports, leads, ok, span, stop) -> None:
+        """Count the children codes[:stop] of the chain, whose span is
+        span (0 included), and search below those flagged ok, the ones
+        compatible with it.  Later codes are candidates for children."""
+        leaf = depth + 2 == self.target_dim
+        width = (self.q - 1) * len(span)   # elements a sibling adds
+        sibs = ok[:stop].nonzero()[0]
+        pos = i = 0   # the children before pos are counted
+        # blocks grow from a sixteenth of the cap, so that a find under an
+        # early sibling costs little work on the later ones
+        limit = _LOOK_AHEAD >> 4
+        while i < len(sibs):
+            first = int(sibs[i])
+            rest = first + 1
+            block = sibs[i:i + max(1, limit // max(1, len(codes) - rest))]
+            # kids[b, j]: code rest + j is a child of sibling block[b]
+            kids = (((supports[rest:] & leads[block, None]) == 0)
+                    & (codes[rest:] > codes[block, None]))
+            zs = (kids.any(axis=0) & ok[rest:]).nonzero()[0]
+            size = max(1, limit // max(1, width * len(zs)))
+            limit = min(2 * limit, _LOOK_AHEAD)
+            if size < len(block):
+                block, kids = block[:size], kids[:size]
+                zs = (kids.any(axis=0) & ok[rest:]).nonzero()[0]
+            i += len(block)
+            free = kids.sum(axis=1)
+            if len(zs):
+                good, cosets = self._look_ahead(codes[block], codes[zs + rest],
+                                                span)
+                good &= kids[:, zs]
+            if not len(zs) or not good.any():
+                # no sibling of the block has a compatible child
+                self._count(block[-1] - pos + 1 + free.sum())
+                pos = int(block[-1]) + 1
+                continue
+            # the node count from pos at each sibling, after the children
+            # of the siblings before it
+            at = block - pos + 1 + free.cumsum() - free
+            pos = int(block[-1]) + 1
+            if leaf:
+                bs, js = good.nonzero()
+                finds = at[bs] + kids.cumsum(axis=1)[bs, zs[js]]
+                ends = [int(codes[block[bs[0]]]), int(codes[zs[js[0]] + rest])]
+                self._leaves(at[-1] + free[-1], finds, ends)
+                continue
+            done = 0   # the nodes of this block counted so far
+            # a sibling without compatible children is not entered
+            for b in good.any(axis=1).nonzero()[0].tolist():
+                self._count(at[b] - done)
+                done = at[b] + free[b]
+                mine = zs[good[b]] + rest
+                if len(mine) == 1:
+                    # a lone compatible child has no compatible child
+                    self._count(free[b] + ((supports[mine[0] + 1:] & (
+                        leads[block[b]] | leads[mine[0]])) == 0).sum())
+                    continue
+                child = kids[b].nonzero()[0] + rest
+                child_ok = np.zeros(len(codes), dtype=bool)
+                child_ok[mine] = True
+                self.chain.append(int(codes[block[b]]))
+                self._level(depth + 1, codes[child], supports[child],
+                            leads[child], child_ok[child],
+                            np.concatenate((span, cosets[b])), len(child))
+                self.chain.pop()
+            self._count(at[-1] + free[-1] - done)
+        self._count(stop - pos)
+
+    def _look_ahead(self, ys, zs, span):
+        """(good, cosets): cosets[b] holds c ys[b] + s for c != 0 and s
+        in span, what ys[b] adds to the span, and good[b, j] says whether
+        zs[j] + t has rank r for every t in cosets[b]."""
+        if self.xor:
+            multiples = (ys[:, None] if self.q == 2 else self._multiples(
+                _code_digits(ys, self.q, self.mn)) @ self.weights)
+            cosets = (multiples[:, :, None] ^ span).reshape(len(ys), -1)
+        else:
+            cosets = self._coset(_code_digits(ys, self.q, self.mn), span)
+        # at most _LOOK_AHEAD sums at a time
+        step = max(1, _LOOK_AHEAD // (len(ys) * cosets.shape[1]))
+        good = [self._compatible(cosets, zs[a:a + step])
+                for a in range(0, len(zs), step)]
+        return good[0] if len(good) == 1 else np.concatenate(good, 1), cosets
+
+    def _compatible(self, cosets, zs):
+        """good[b, j]: zs[j] + t has rank r for every t in cosets[b]."""
+        if self.xor:
+            ranks = self.table[cosets[:, :, None] ^ zs]
+        else:
+            sums = self.ar.add(cosets[:, :, None],
+                               _code_digits(zs, self.q, self.mn))
+            if self.table is not None:
+                ranks = self.table[sums @ self.weights]
+            else:
+                ranks = rank_batch(self.field, sums.reshape(-1, self.m, self.n)
+                                   ).reshape(sums.shape[:3])
+        return (ranks == self.r).all(axis=1)
+
     def _extend(self, depth: int, candidates) -> None:
+        """The stream's traversal: one node at a time."""
         last = self.target_dim - 1
         for X, supp in candidates:
-            if not self._closed(X):
+            self._count(1)
+            digits = np.array(_digits(X, self.q, self.mn))
+            sums = self.ar.add(self.span, digits)
+            if not (rank_batch(self.field, sums.reshape(-1, self.m, self.n))
+                    == self.r).all():
                 continue
             if depth == last:
-                self._record(X)
+                self._record([X], [self.nodes])
                 continue
-            saved = self._enter(X, supp)
+            saved = self.span, self.pivot_mask
+            self.chain.append(X)
+            self.span = np.concatenate((self.span, self._coset(digits, self.span)))
+            self.pivot_mask |= 1 << (supp.bit_length() - 1)
             self._extend(depth + 1, self._after(X))
             self.chain.pop()
             self.span, self.pivot_mask = saved
 
-    def _closed(self, X: int) -> bool:
-        """Budget accounting plus the coset check: X + s has rank r for
-        every s in the span so far."""
-        if self.nodes >= self.budget:
-            raise _BudgetHit
-        self.nodes += 1
-        r = self.r
-        if self.xor:
-            table = self.table
-            for s in self.span:
-                if table[X ^ s] != r:
-                    return False
-            return True
-        sums = self.ar.add(self.span, np.array(_digits(X, self.q, self.mn)))
-        if self.table_np is not None:
-            return bool((self.table_np[sums @ self.weights] == r).all())
-        ranks = rank_batch(self.field, sums.reshape(-1, self.m, self.n))
-        return bool((ranks == r).all())
+    def _multiples(self, digits: np.ndarray) -> np.ndarray:
+        """Digit rows of c X for c = 1, ..., q-1, for each digit row X of
+        digits (shape (..., mn)), on a new next-to-last axis."""
+        return self.ar.mul(self.scalars[:, None], digits[..., None, :])
 
-    def _enter(self, X: int, supp: int):
-        saved = (self.span, self.pivot_mask)
-        self.chain.append(X)
-        span = self.span
-        if self.xor:
-            # over GF(2) X is its only nonzero multiple
-            multiples = ([X] if self.q == 2
-                         else (self._multiples(X) @ self.weights).tolist())
-            self.span = span + multiples + [y ^ s for y in multiples for s in span]
-        else:
-            multiples = self._multiples(X)
-            self.span = np.concatenate([
-                span, multiples,
-                self.ar.add(multiples[:, None], span[None]).reshape(-1, self.mn),
-            ])
-        self.pivot_mask |= 1 << (supp.bit_length() - 1)
-        return saved
+    def _coset(self, digits: np.ndarray, span: np.ndarray) -> np.ndarray:
+        """Digit rows of c X + s for c != 0 and s in span, for each digit
+        row X of digits, on a new next-to-last axis."""
+        sums = self.ar.add(self._multiples(digits)[..., None, :], span)
+        return sums.reshape(*digits.shape[:-1], -1, self.mn)
 
-    def _multiples(self, X: int) -> np.ndarray:
-        """Digit rows of c X for c = 1, ..., q-1."""
-        return self.ar.mul(self.scalars[:, None], _digits(X, self.q, self.mn))
-
-    def _record(self, X: int) -> None:
-        self.found_count += 1
-        if self.found_at is not None:
-            self.found_at.append(self.nodes)
+    def _record(self, ends: list[int], at: list[int]) -> None:
+        """Record finds at the node counts at, the first of them ending
+        the chain with the codes ends; without count_all the search stops
+        there."""
         if self.witness is None:
-            self.witness = self.chain + [X]
+            self.witness = self.chain + ends
+        self.found_count += len(at)
+        if self.found_at is not None:
+            self.found_at.extend(at)
         if not self.count_all:
+            self.nodes = at[0]
             raise _FoundEarly
 
 
@@ -403,6 +512,8 @@ def search_constant_rank(F: FieldSpec, m: int, n: int, r: int,
 
 def _worker_count(requested: int, pool_len: int) -> int:
     """Processes to start: at most one per core and per depth-1 candidate."""
+    if requested == 1:
+        return 1
     return max(1, min(requested, pool_len, os.cpu_count() or 1))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import pickle
+import random
 import tracemalloc
 
 import pytest
@@ -158,6 +159,25 @@ def test_nonzero_elements_have_order_dividing_q_minus_1(p, e):
         for _ in range(F.q - 1):
             acc = F.mul(acc, a)
         assert acc == 1
+
+
+@pytest.mark.parametrize("p,e,modulus", [
+    (2, 16, None), (3, 10, None), (65521, 1, None), (2, 9, None), (3, 6, None),
+    (7, 2, None), (2, 4, (1, 1, 1, 1, 1)), (3, 2, (2, 2, 1)),
+], ids=["GF(2^16)", "GF(3^10)", "GF(65521)", "GF(2^9)", "GF(3^6)", "GF(7^2)",
+        "GF(2^4)[1,1,1,1,1]", "GF(3^2)[2,2,1]"])
+def test_exp_table_lists_the_powers_of_a_primitive_element(p, e, modulus):
+    # each power is the one before times g = exp[1], by the schoolbook
+    # product of the reference, on every step for q <= 4096 and on 3000
+    # seeded steps otherwise; g is primitive when the first q - 1 powers
+    # are the q - 1 nonzero codes
+    F = make_field(p, e, modulus)
+    q, exp = F.q, F.exp_table
+    assert exp[0] == 1
+    assert sorted(exp[: q - 1]) == list(range(1, q))
+    steps = range(q - 2) if q <= 4096 else random.Random(q).sample(range(q - 2), 3000)
+    for k in steps:
+        assert exp[k + 1] == ref_mul(F, exp[k], exp[1]), k
 
 
 def test_descriptor_round_trip():

@@ -14,6 +14,7 @@ import itertools
 import multiprocessing
 import os
 import pickle
+import random
 import time
 import tracemalloc
 
@@ -264,7 +265,7 @@ def test_worker_count_is_capped_at_cores(monkeypatch):
     assert search_mod._worker_count(8, 100) == 1
 
 
-@pytest.mark.parametrize("field,m,n,r,dim,count_all", [
+_streamed_cases = pytest.mark.parametrize("field,m,n,r,dim,count_all", [
     ((2,), 3, 3, 2, 4, False),
     ((2,), 2, 3, 2, 3, True),
     ((3,), 2, 3, 2, 3, False),
@@ -273,6 +274,9 @@ def test_worker_count_is_capped_at_cores(monkeypatch):
     ((2, 2), 2, 2, 2, 2, True),
 ], ids=["GF(2)-find", "GF(2)-all", "GF(3)-find", "GF(3)-all", "GF(4)-find",
         "GF(4)-all"])
+
+
+@_streamed_cases
 def test_streamed_pool_matches_in_memory_pool(field, m, n, r, dim, count_all,
                                               monkeypatch):
     F = make_field(*field)
@@ -291,6 +295,14 @@ def test_streamed_pool_matches_in_memory_pool(field, m, n, r, dim, count_all,
         assert out.witness == pooled.witness
         assert out.nodes_explored == pooled.nodes_explored
         assert out.found_count == pooled.found_count
+
+
+@_streamed_cases
+def test_streamed_pool_matches_in_tiny_blocks(field, m, n, r, dim, count_all,
+                                             monkeypatch):
+    monkeypatch.setattr(search_mod, "_LOOK_AHEAD", _TINY_LOOK_AHEAD)
+    test_streamed_pool_matches_in_memory_pool(field, m, n, r, dim, count_all,
+                                              monkeypatch)
 
 
 def test_stream_handles_codes_wider_than_64_bits(gf2):
@@ -336,12 +348,15 @@ _NON_BINARY_PINS = [
 ]
 
 
-@pytest.mark.parametrize(
+_pins = pytest.mark.parametrize(
     "field,m,n,r,dim,count_all,budget,status,nodes,found,witness",
     _NON_BINARY_PINS,
     ids=[f"GF({make_field(*f).q})-{m}x{n}-r{r}-d{d}-"
          + ("all" if a else "find") + ("" if b is None else f"-budget{b}")
          for f, m, n, r, d, a, b, *_ in _NON_BINARY_PINS])
+
+
+@_pins
 def test_non_binary_accounting_is_pinned(field, m, n, r, dim, count_all,
                                          budget, status, nodes, found,
                                          witness, monkeypatch):
@@ -358,6 +373,70 @@ def test_non_binary_accounting_is_pinned(field, m, n, r, dim, count_all,
         got = (None if out.witness is None
                else [B.entries for B in out.witness.basis])
         assert got == witness, workers
+
+
+# A look-ahead cap this small puts one sibling in most blocks and a few
+# in some, so blocks split at many places in every level.
+_TINY_LOOK_AHEAD = 64
+
+
+@_pins
+def test_non_binary_pins_hold_in_tiny_blocks(field, m, n, r, dim, count_all,
+                                            budget, status, nodes, found,
+                                            witness, monkeypatch):
+    monkeypatch.setattr(search_mod, "_LOOK_AHEAD", _TINY_LOOK_AHEAD)
+    test_non_binary_accounting_is_pinned(field, m, n, r, dim, count_all,
+                                         budget, status, nodes, found,
+                                         witness, monkeypatch)
+
+
+def test_census_grid_parity_holds_in_tiny_blocks(monkeypatch):
+    monkeypatch.setattr(search_mod, "_LOOK_AHEAD", _TINY_LOOK_AHEAD)
+    test_two_workers_give_the_serial_count_on_the_census_grid(monkeypatch)
+
+
+def _outcome(out):
+    witness = (None if out.witness is None
+               else [B.entries for B in out.witness.basis])
+    return out.status.value, witness, out.nodes_explored, out.found_count
+
+
+# Boxes small enough for the naive reference; two per field are drawn by a
+# seeded generator.
+_REFERENCE_SEARCH_BOXES = [
+    ((2,), [(2, 3, 2, 3), (3, 3, 1, 3), (2, 4, 1, 3), (2, 3, 1, 4),
+            (3, 3, 2, 3)]),
+    ((3,), [(2, 2, 2, 2), (2, 3, 1, 3), (1, 4, 1, 3), (2, 3, 1, 2)]),
+    ((2, 2), [(2, 2, 2, 2), (2, 3, 1, 2), (1, 4, 1, 3), (2, 2, 1, 3)]),
+    ((5,), [(2, 2, 2, 2), (1, 4, 1, 3), (2, 2, 1, 2)]),
+    ((7,), [(2, 2, 1, 2), (1, 3, 1, 3), (2, 2, 2, 2)]),
+    ((3, 2), [(1, 3, 1, 2), (1, 3, 1, 3), (2, 2, 1, 2)]),
+]
+
+
+@pytest.mark.parametrize(
+    "field,boxes", _REFERENCE_SEARCH_BOXES,
+    ids=[f"GF({make_field(*f).q})" for f, _ in _REFERENCE_SEARCH_BOXES])
+def test_search_matches_the_naive_reference(field, boxes, monkeypatch):
+    # at budget 1, at the node count and one either side, and at seeded
+    # points inside the tree, with one worker and two
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    F = make_field(*field)
+    R = reference.Field(F.p, F.e, F.modulus)
+    rng = random.Random(f"reference search {F.q}")
+    for box in rng.sample(boxes, 2):
+        for count_all in (False, True):
+            nodes = reference.search(R, *box, 10 ** 9, count_all)[2]
+            budgets = {1, nodes - 1, nodes, nodes + 1}
+            budgets |= {rng.randint(1, nodes) for _ in range(3)}
+            for budget in sorted(b for b in budgets if b >= 1):
+                expected = reference.search(R, *box, budget, count_all)
+                for workers in (1, 2):
+                    out = search_constant_rank(F, *box, budget=budget,
+                                               count_all=count_all,
+                                               workers=workers)
+                    assert _outcome(out) == expected, \
+                        (box, count_all, budget, workers)
 
 
 def test_search_validation(gf2):
