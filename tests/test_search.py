@@ -265,6 +265,11 @@ def test_worker_count_is_capped_at_cores(monkeypatch):
     assert search_mod._worker_count(8, 100) == 1
 
 
+# A look-ahead cap this small puts one sibling in most blocks and a few
+# in some, so blocks split at many places in every level.
+_TINY_LOOK_AHEAD = 64
+
+
 _streamed_cases = pytest.mark.parametrize("field,m,n,r,dim,count_all", [
     ((2,), 3, 3, 2, 4, False),
     ((2,), 2, 3, 2, 3, True),
@@ -373,11 +378,6 @@ def test_non_binary_accounting_is_pinned(field, m, n, r, dim, count_all,
         got = (None if out.witness is None
                else [B.entries for B in out.witness.basis])
         assert got == witness, workers
-
-
-# A look-ahead cap this small puts one sibling in most blocks and a few
-# in some, so blocks split at many places in every level.
-_TINY_LOOK_AHEAD = 64
 
 
 @_pins
