@@ -218,12 +218,13 @@ class FieldSpec:
         return out
 
     def _powers(self, g: int) -> list[int]:
-        """Codes of g^k for k < q - 1 in an extension field.
+        """Codes of g^k for k < q - 1.
 
         Row t of the matrix of multiplication by g holds the digits of
         x^t g, each row the one before times x: a shift and one reduction
-        by the monic modulus.  The powers are then listed by doubling,
-        g^(n + k) = g^k g^n, so numpy forms all of them in log2(q) steps.
+        by the monic modulus (in a prime field the matrix is [[g]]).  The
+        powers are then listed by doubling, g^(n + k) = g^k g^n, so numpy
+        forms all of them in log2(q) steps.
         """
         p, e = self.p, self.e
         rows = [[g // p ** i % p for i in range(e)]]
@@ -246,12 +247,7 @@ class FieldSpec:
         for g in range(1, q):
             if all(self._pow_raw(g, (q - 1) // l) != 1 for l in primes):
                 break
-        if self.e == 1:
-            exp = [1]
-            for _ in range(q - 2):
-                exp.append(exp[-1] * g % p)
-        else:
-            exp = self._powers(g)
+        exp = self._powers(g)
         log = [-1] * q
         for i, v in enumerate(exp):
             log[v] = i

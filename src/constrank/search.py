@@ -137,8 +137,7 @@ class _Engine:
     table (XOR of codes in characteristic 2, digit rows otherwise), or
     calls rank_batch when there is no table.  Nodes are counted in bulk,
     by prefix sums over the block: the incompatible siblings, the
-    children of a sibling with no compatible child (it is not entered),
-    those of a sibling with one (whose children cannot be compatible)
+    children of a sibling with no compatible child (it is not entered)
     and the leaves at the last depth, whose compatible ones are finds.
     A budget stops the count at exactly the budget.
 
@@ -166,8 +165,9 @@ class _Engine:
         # sums of codes are XORs; otherwise they are digit rows
         self.xor = table is not None and field.p == 2
         self.scalars = np.arange(1, q, dtype=np.int32)
-        # digit rows to codes, for table lookups: q^(mn) <= POOL_CAP
-        self.weights = q ** np.arange(mn - 1, -1, -1, dtype=np.int64)
+        if table is not None:
+            # digit rows to codes, for table lookups: q^(mn) <= POOL_CAP
+            self.weights = q ** np.arange(mn - 1, -1, -1, dtype=np.int64)
         # codes are generated in blocks that share all but their last
         # low_len digits, q^low_len codes at most
         low_len = 1
@@ -331,11 +331,6 @@ class _Engine:
                 self._count(at[b] - done)
                 done = at[b] + free[b]
                 mine = zs[good[b]] + rest
-                if len(mine) == 1:
-                    # a lone compatible child has no compatible child
-                    self._count(free[b] + ((supports[mine[0] + 1:] & (
-                        leads[block[b]] | leads[mine[0]])) == 0).sum())
-                    continue
                 child = kids[b].nonzero()[0] + rest
                 child_ok = np.zeros(len(codes), dtype=bool)
                 child_ok[mine] = True
@@ -512,8 +507,6 @@ def search_constant_rank(F: FieldSpec, m: int, n: int, r: int,
 
 def _worker_count(requested: int, pool_len: int) -> int:
     """Processes to start: at most one per core and per depth-1 candidate."""
-    if requested == 1:
-        return 1
     return max(1, min(requested, pool_len, os.cpu_count() or 1))
 
 
