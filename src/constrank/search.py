@@ -137,7 +137,8 @@ class _Engine:
     table (XOR of codes in characteristic 2, digit rows otherwise), or
     calls rank_batch when there is no table.  Nodes are counted in bulk,
     by prefix sums over the block: the incompatible siblings, the
-    children of a sibling with no compatible child (it is not entered)
+    children of a sibling with no compatible child (it is not entered),
+    those of a sibling with one (whose children cannot be compatible)
     and the leaves at the last depth, whose compatible ones are finds.
     A budget stops the count at exactly the budget.
 
@@ -331,6 +332,11 @@ class _Engine:
                 self._count(at[b] - done)
                 done = at[b] + free[b]
                 mine = zs[good[b]] + rest
+                if len(mine) == 1:
+                    # a lone compatible child has no compatible child
+                    self._count(free[b] + ((supports[mine[0] + 1:] & (
+                        leads[block[b]] | leads[mine[0]])) == 0).sum())
+                    continue
                 child = kids[b].nonzero()[0] + rest
                 child_ok = np.zeros(len(codes), dtype=bool)
                 child_ok[mine] = True

@@ -439,6 +439,25 @@ def test_search_matches_the_naive_reference(field, boxes, monkeypatch):
                         (box, count_all, budget, workers)
 
 
+# Exhausted rank-1 trees of dimension 4, whose siblings often have
+# exactly one compatible child: such a sibling is counted with its
+# children and grandchildren without being entered.
+_LONE_CHILD_BOXES = [((2,), 2, 3), ((2,), 3, 3), ((3,), 2, 3), ((2, 2), 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "field,m,n", _LONE_CHILD_BOXES,
+    ids=[f"GF({make_field(*f).q})-{m}x{n}" for f, m, n in _LONE_CHILD_BOXES])
+def test_lone_compatible_children_match_the_naive_reference(field, m, n):
+    F = make_field(*field)
+    R = reference.Field(F.p, F.e, F.modulus)
+    box = (m, n, 1, 4)
+    nodes = reference.search(R, *box, 10 ** 9, False)[2]
+    for budget in (nodes - 1, nodes):
+        out = search_constant_rank(F, *box, budget=budget)
+        assert _outcome(out) == reference.search(R, *box, budget, False)
+
+
 def test_search_validation(gf2):
     with pytest.raises(ShapeViolation):
         search_constant_rank(gf2, 2, 2, 3, 1)
