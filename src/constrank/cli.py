@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 from .analysis import _image_of_kernel, _kernel_bound, counting_report
 from .construct import truncated_construction
@@ -48,27 +47,9 @@ from .subspace import (
     rank_profile,
 )
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["main"]
 
 _MAX_REPORTED_VIOLATIONS = 10
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    field: FieldSpec | None = None
-    shape: tuple[int, int] | None = None
-    rank: int | None = None
-    dim: int | None = None
-    input_path: str | None = None
-    output_path: str | None = None
-    budget: int | None = None
-    workers: int = 1
-    sample: int | None = None
-    seed: int = 0
-    count_all: bool = False
-    use_oracle: bool = False
-    json_output: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +93,6 @@ def _shape_type(text: str) -> tuple[int, int]:
 def _field_type(text: str) -> FieldSpec:
     try:
         return parse_field_descriptor(text)
-    except ParseError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
     except ConstrankError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -189,26 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    get = lambda name, default=None: getattr(ns, name, default)
-    return RunConfig(
-        command=ns.command,
-        field=get("field"),
-        shape=get("shape"),
-        rank=get("rank"),
-        dim=get("dim"),
-        input_path=get("input"),
-        output_path=get("output"),
-        budget=get("budget"),
-        workers=get("workers", 1),
-        sample=get("sample"),
-        seed=get("seed", 0),
-        count_all=bool(get("count_all", False)),
-        use_oracle=bool(get("use_oracle", False)),
-        json_output=bool(get("json", False)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # report rendering
 # ---------------------------------------------------------------------------
@@ -242,9 +201,8 @@ def render_report(report: dict, json_mode: bool) -> str:
 # command handlers
 # ---------------------------------------------------------------------------
 
-def _read_subspace(config: RunConfig) -> SubspaceBasis:
-    assert config.input_path is not None
-    with open(config.input_path, "rb") as fh:
+def _read_subspace(path: str) -> SubspaceBasis:
+    with open(path, "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("ascii")
@@ -268,30 +226,30 @@ def _pad_square(S: SubspaceBasis) -> SubspaceBasis:
     return S.pad_to_square()
 
 
-def _cmd_construct(config: RunConfig):
-    m, n = config.shape
-    S = truncated_construction(config.field, m, n, config.rank)
+def _cmd_construct(ns: argparse.Namespace):
+    m, n = ns.shape
+    S = truncated_construction(ns.field, m, n, ns.rank)
     report = {
         "command": "construct",
-        "field": config.field.descriptor,
+        "field": ns.field.descriptor,
         "shape": _shape_str(m, n),
-        "rank": config.rank,
+        "rank": ns.rank,
         "dim": S.d,
         "status": "ok",
     }
     return 0, report, S.to_text()
 
 
-def _cmd_verify(config: RunConfig):
-    S = _read_subspace(config)
-    budget = config.budget or DEFAULT_ENUMERATION_BUDGET
-    ok, witness = is_constant_rank(S, config.rank, budget=budget)
+def _cmd_verify(ns: argparse.Namespace):
+    S = _read_subspace(ns.input)
+    budget = ns.budget or DEFAULT_ENUMERATION_BUDGET
+    ok, witness = is_constant_rank(S, ns.rank, budget=budget)
     report = {
         "command": "verify",
         "field": S.field.descriptor,
         "shape": _shape_str(S.m, S.n),
         "d": S.d,
-        "rank": config.rank,
+        "rank": ns.rank,
         "constant_rank": ok,
     }
     if witness is not None:
@@ -300,9 +258,9 @@ def _cmd_verify(config: RunConfig):
     return (0 if ok else 1), report, None
 
 
-def _cmd_census(config: RunConfig):
-    S = _read_subspace(config)
-    budget = config.budget or DEFAULT_ENUMERATION_BUDGET
+def _cmd_census(ns: argparse.Namespace):
+    S = _read_subspace(ns.input)
+    budget = ns.budget or DEFAULT_ENUMERATION_BUDGET
     profile = rank_profile(S, budget=budget)
     constant = profile.constant_rank_of()
     report = {
@@ -317,14 +275,14 @@ def _cmd_census(config: RunConfig):
     return 0, report, None
 
 
-def _cmd_lemma_check(config: RunConfig):
-    S = _read_subspace(config)
+def _cmd_lemma_check(ns: argparse.Namespace):
+    S = _read_subspace(ns.input)
     square = _pad_square(S)
-    budget = config.budget or DEFAULT_ENUMERATION_BUDGET
+    budget = ns.budget or DEFAULT_ENUMERATION_BUDGET
     # one rank walk serves both checks
     profile = rank_profile(square, budget=budget)
     bound = _kernel_bound(square, profile, budget)
-    image = _image_of_kernel(square, profile, config.sample, config.seed)
+    image = _image_of_kernel(square, profile, ns.sample, ns.seed)
     report = {
         "command": "lemma-check",
         "field": S.field.descriptor,
@@ -356,10 +314,10 @@ def _cmd_lemma_check(config: RunConfig):
     return (1 if violated else 0), report, None
 
 
-def _cmd_counting(config: RunConfig):
-    S = _read_subspace(config)
+def _cmd_counting(ns: argparse.Namespace):
+    S = _read_subspace(ns.input)
     square = _pad_square(S)
-    budget = config.budget or DEFAULT_ENUMERATION_BUDGET
+    budget = ns.budget or DEFAULT_ENUMERATION_BUDGET
     rep = counting_report(square, budget=budget)
     report = {
         "command": "counting",
@@ -379,52 +337,54 @@ def _cmd_counting(config: RunConfig):
     return 0, report, None
 
 
-def _cmd_search(config: RunConfig):
-    if config.use_oracle:
-        return _cmd_oracle(config, command_name="search")
-    m, n = config.shape
-    budget = config.budget or DEFAULT_NODE_BUDGET
+def _cmd_search(ns: argparse.Namespace):
+    if ns.use_oracle:
+        return _cmd_oracle(ns)
+    m, n = ns.shape
+    budget = ns.budget or DEFAULT_NODE_BUDGET
     outcome = search_constant_rank(
-        config.field, m, n, config.rank, config.dim,
-        budget=budget, workers=config.workers, count_all=config.count_all,
+        ns.field, m, n, ns.rank, ns.dim,
+        budget=budget, workers=ns.workers, count_all=ns.count_all,
     )
     report = {
         "command": "search",
-        "field": config.field.descriptor,
+        "field": ns.field.descriptor,
         "shape": _shape_str(m, n),
-        "rank": config.rank,
-        "dim": config.dim,
+        "rank": ns.rank,
+        "dim": ns.dim,
         "status": outcome.status.value,
         "nodes": outcome.nodes_explored,
         "budget": budget,
-        "workers": config.workers,
+        "workers": ns.workers,
     }
-    if config.count_all:
+    if ns.count_all:
         report["found_count"] = outcome.found_count
     artifact = outcome.witness.to_text() if outcome.witness else None
     code = 3 if outcome.status is SearchStatus.BUDGET_EXCEEDED else 0
     return code, report, artifact
 
 
-def _cmd_oracle(config: RunConfig, command_name: str = "oracle"):
-    m, n = config.shape
-    budget = config.budget or DEFAULT_CENSUS_BUDGET
+def _cmd_oracle(ns: argparse.Namespace):
+    m, n = ns.shape
+    budget = ns.budget or DEFAULT_CENSUS_BUDGET
     count = brute_force_census(
-        config.field, m, n, config.rank, config.dim, budget=budget
+        ns.field, m, n, ns.rank, ns.dim, budget=budget
     )
     report = {
-        "command": command_name,
-        "field": config.field.descriptor,
+        "command": ns.command,
+        "field": ns.field.descriptor,
         "shape": _shape_str(m, n),
-        "rank": config.rank,
-        "dim": config.dim,
+        "rank": ns.rank,
+        "dim": ns.dim,
         "count": count,
     }
-    if command_name == "search":
+    if ns.command == "search":
         report["oracle"] = True
     return 0, report, None
 
 
+# each handler takes the parsed arguments and returns (exit code, report,
+# artifact or None)
 _HANDLERS = {
     "construct": _cmd_construct,
     "verify": _cmd_verify,
@@ -436,21 +396,15 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig):
-    """Execute one command; returns (exit_code, report_dict, artifact)."""
-    return _HANDLERS[config.command](config)
-
-
 def main(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    config = _config_from(ns)
     try:
-        code, report, artifact = run(config)
+        code, report, artifact = _HANDLERS[ns.command](ns)
     except ParseError as exc:
-        where = config.input_path or "<input>"
+        where = getattr(ns, "input", None) or "<input>"
         print(f"{where}:{exc.line}:{exc.col}: {exc.bare_message}",
               file=sys.stderr)
         return 2
@@ -472,11 +426,12 @@ def main(argv=None) -> int:
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
-    text = render_report(report, config.json_output)
-    if config.command in ("construct", "search") and not config.use_oracle:
+    text = render_report(report, ns.json)
+    oracle = getattr(ns, "use_oracle", False)
+    if ns.command in ("construct", "search") and not oracle:
         if artifact is not None:
-            if config.output_path:
-                with open(config.output_path, "w", encoding="ascii") as fh:
+            if ns.output:
+                with open(ns.output, "w", encoding="ascii") as fh:
                     fh.write(artifact)
             else:
                 sys.stdout.write(artifact)

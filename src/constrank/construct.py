@@ -52,18 +52,7 @@ def regular_representation(F: FieldSpec, n: int) -> SubspaceBasis:
     """The n-dimensional span of multiplication matrices; constant rank n."""
     if n < 1:
         raise ShapeViolation(f"representation degree must be positive, got {n}")
-    if F.q ** n > _SPAN_CAP:
-        raise OrderTooLarge(
-            f"extension of order {F.q}^{n} exceeds the cap {_SPAN_CAP}"
-        )
-    S = SubspaceBasis(_regular_matrices(F, n))
-    ok, witness = is_constant_rank(S, n)
-    if not ok:
-        raise InternalVerificationFailed(
-            f"multiplication span contains a non-invertible element: "
-            f"{witness!r}"
-        )
-    return S
+    return truncated_construction(F, n, n, n)
 
 
 def truncated_construction(F: FieldSpec, m: int, n: int, r: int

@@ -140,11 +140,14 @@ class _Engine:
     children of a sibling with no compatible child (it is not entered),
     those of a sibling with one (whose children cannot be compatible)
     and the leaves at the last depth, whose compatible ones are finds.
-    A budget stops the count at exactly the budget.
+    A budget stops the count at exactly the budget.  In a worker process
+    the shared flag stop (see _run_parallel) stops it at the next count.
 
     The stream has no rank table.  It checks one node at a time, ranking
     X + s for every s in the span with rank_batch.
     """
+
+    stop = None
 
     def __init__(self, field, m, n, r, target_dim, budget, count_all):
         q = field.q
@@ -265,8 +268,9 @@ class _Engine:
         return self.nodes, self.found_count, self.witness, False
 
     def _count(self, nodes) -> None:
-        """Count nodes that hold no find; stop at exactly the budget."""
-        if self.nodes + nodes > self.budget:
+        """Count nodes that hold no find; stop at exactly the budget, or
+        at once when stop is set."""
+        if self.nodes + nodes > self.budget or self.stop and self.stop.value:
             self.nodes = self.budget
             raise _BudgetHit
         self.nodes += int(nodes)
@@ -530,8 +534,12 @@ def _run_parallel(engine, pool_len, workers):
         # a later candidate has fewer successors in the canonical order
         batches.append((lo, min(pool_len, lo + 1 + lo // (8 * workers))))
         lo = batches[-1][1]
-    # leaving the with block stops the batches after the deciding one
-    with multiprocessing.Pool(workers, _start_worker, (engine,)) as pool:
+    # once the deciding batch is in, the flag stops the running batches at
+    # their next node count and skips the rest, so the workers end of
+    # themselves; terminating them instead can leave a queue lock held
+    stop = multiprocessing.RawValue("b", 0)
+    pool = multiprocessing.Pool(workers, _start_worker, (engine, stop))
+    try:
         for n, found_at, w, hit in pool.imap(_run_batch, batches):
             left = engine.budget - nodes
             if n > left:
@@ -543,6 +551,10 @@ def _run_parallel(engine, pool_len, workers):
             witness = witness or w
             if hit or w is not None and not engine.count_all:
                 break
+    finally:
+        stop.value = 1
+        pool.close()
+        pool.join()
     return nodes, found_count, witness, hit
 
 
@@ -550,13 +562,16 @@ def _run_parallel(engine, pool_len, workers):
 _worker_engine: _Engine | None = None
 
 
-def _start_worker(engine: _Engine) -> None:
+def _start_worker(engine: _Engine, stop) -> None:
     global _worker_engine
+    engine.stop = stop
     _worker_engine = engine
 
 
 def _run_batch(bounds: tuple[int, int]):
     found_at = array("q")
+    if _worker_engine.stop.value:
+        return 0, found_at, None, False
     nodes, _, witness, hit = _worker_engine.run(*bounds, found_at)
     return nodes, found_at, witness, hit
 

@@ -38,6 +38,7 @@ from .errors import (
 from .field import FieldArrays, FieldSpec, parse_field_descriptor
 from .matrix import (
     MatGF,
+    _parse_int,
     _parse_matrix_block,
     _rank_rows,
     _rank_table,
@@ -157,18 +158,8 @@ def parse_subspace(text: str) -> SubspaceBasis:
     if len(header) < 4:
         raise ParseError("subspace header needs 'd m n GF(...)'",
                          header_line, header[-1][1] if header else 1)
-
-    def geti(k: int, what: str) -> int:
-        tok, col = header[k]
-        try:
-            return int(tok)
-        except ValueError:
-            raise ParseError(f"{what} must be an integer, got {tok!r}",
-                             header_line, col)
-
-    d = geti(0, "basis size")
-    m = geti(1, "row count")
-    n = geti(2, "column count")
+    d, m, n = (_parse_int(tok, header_line, col, what) for (tok, col), what
+               in zip(header, ("basis size", "row count", "column count")))
     if d < 1:
         raise ParseError(f"basis size must be at least 1, got {d}",
                          header_line, header[0][1])

@@ -12,6 +12,7 @@ import collections
 import functools
 import itertools
 import multiprocessing
+import multiprocessing.pool
 import os
 import pickle
 import random
@@ -242,6 +243,36 @@ def test_two_workers_give_the_serial_result_under_spawn(monkeypatch):
         serial = search_constant_rank(F, 2, n, 2, 2, **kwargs)
         multi = search_constant_rank(F, 2, n, 2, 2, workers=2, **kwargs)
         assert _summary(multi) == _summary(serial), field
+
+
+def test_two_workers_end_without_terminating_the_pool(gf2, monkeypatch):
+    # a search that leaves its pool early stops the workers and waits for
+    # them; terminating them can leave a queue lock held and hang
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    terminated = []
+    terminate = multiprocessing.pool.Pool.terminate
+
+    def recorded(pool):
+        terminated.append(pool)
+        terminate(pool)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", recorded)
+    budget_point = search_constant_rank(gf2, 3, 3, 2, 4).nodes_explored - 1
+    runs = [
+        ((4, 4, 2, 4), {}),                          # found in the first batch
+        ((3, 3, 2, 4), {"budget": budget_point}),
+        ((3, 3, 2, 4), {"count_all": True}),
+        ((3, 3, 2, 5), {}),                          # exhausted
+    ]
+    for box, kwargs in runs:
+        serial = search_constant_rank(gf2, *box, **kwargs)
+        multi = search_constant_rank(gf2, *box, workers=2, **kwargs)
+        assert _summary(multi) == _summary(serial), (box, kwargs)
+    early = _summary(search_constant_rank(gf2, 4, 4, 2, 4))
+    for _ in range(50):
+        assert _summary(search_constant_rank(gf2, 4, 4, 2, 4, workers=2)) \
+            == early
+    assert terminated == []
 
 
 def test_witness_larger_than_the_enumeration_budget_is_verified():
