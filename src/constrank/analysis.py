@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
     DimensionMismatch,
     InternalVerificationFailed,
     NotConstantRank,
@@ -51,6 +50,7 @@ from .subspace import (
     DEFAULT_ENUMERATION_BUDGET,
     RankProfile,
     SubspaceBasis,
+    _check_budget,
     _class_ranges,
     _matrix_of,
     _ranked_blocks,
@@ -174,11 +174,7 @@ def _slice_dims(S: SubspaceBasis, budget: int):
 
     Raises BudgetExceeded at once if F^n has more than budget vectors.
     """
-    total = S.field.q ** S.n
-    if total > budget:
-        raise BudgetExceeded(
-            f"vector space has {total} vectors, enumeration budget is {budget}"
-        )
+    _check_budget(S.field.q ** S.n, budget, "vector space", "vectors")
     return ((U, S.d - rank_batch(S.field, _evaluations(S, U)))
             for U in _projective_blocks(S.field, S.n))
 

@@ -14,6 +14,7 @@ of n space-separated element codes.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -354,8 +355,9 @@ _TABLE_BLOCK = 1 << 12
 
 
 @lru_cache(maxsize=32)
-def _rank_table(field: FieldSpec, m: int, n: int) -> bytes:
-    """Rank of every m-by-n matrix over field, indexed by its code.
+def _rank_table(field: FieldSpec, m: int, n: int) -> np.ndarray:
+    """Rank of every m-by-n matrix over field, indexed by its code, as a
+    read-only uint8 array shared by every caller of the cache.
 
     The code of a matrix reads its row-major entries as base-q digits,
     entry (0,0) most significant, so numeric order on codes is
@@ -366,12 +368,13 @@ def _rank_table(field: FieldSpec, m: int, n: int) -> bytes:
     """
     q, mn = field.q, m * n
     total = q ** mn
-    out = bytearray(total)
+    out = np.empty(total, dtype=np.uint8)
     for lo in range(0, total, _TABLE_BLOCK):
         codes = np.arange(lo, min(lo + _TABLE_BLOCK, total), dtype=np.int64)
-        ranks = rank_batch(field, _code_digits(codes, q, mn).reshape(-1, m, n))
-        out[lo:lo + len(codes)] = ranks.astype(np.uint8).tobytes()
-    return bytes(out)
+        out[lo:lo + len(codes)] = rank_batch(
+            field, _code_digits(codes, q, mn).reshape(-1, m, n))
+    out.flags.writeable = False
+    return out
 
 
 def _code_digits(codes: np.ndarray, q: int, length: int) -> np.ndarray:
@@ -410,19 +413,8 @@ def _rank_rows(field: FieldSpec, rows: list[list[int]]) -> int:
 # ---------------------------------------------------------------------------
 
 def _tokens_with_cols(line: str) -> list[tuple[str, int]]:
-    out = []
-    i = 0
-    ln = len(line)
-    while i < ln:
-        if line[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < ln and not line[j].isspace():
-            j += 1
-        out.append((line[i:j], i + 1))
-        i = j
-    return out
+    """The whitespace-separated tokens of line with their 1-based columns."""
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
 
 
 def _parse_int(token: str, line_no: int, col: int, what: str) -> int:

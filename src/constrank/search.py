@@ -152,9 +152,7 @@ class _Engine:
     def __init__(self, field, m, n, r, target_dim, budget, count_all):
         q = field.q
         mn = m * n
-        self.args = (field, m, n, r, target_dim, budget, count_all)
         self.field = field
-        self.ar = field.arrays
         self.q = q
         self.m = m
         self.n = n
@@ -163,13 +161,12 @@ class _Engine:
         self.target_dim = target_dim
         self.budget = budget
         self.count_all = count_all
-        table = _rank_table(field, m, n) if q ** mn <= POOL_CAP else None
-        self.table = None if table is None else np.frombuffer(table, np.uint8)
+        self.table = _rank_table(field, m, n) if q ** mn <= POOL_CAP else None
         # with a table in characteristic 2, span elements are codes and
         # sums of codes are XORs; otherwise they are digit rows
-        self.xor = table is not None and field.p == 2
+        self.xor = self.table is not None and field.p == 2
         self.scalars = np.arange(1, q, dtype=np.int32)
-        if table is not None:
+        if self.table is not None:
             # digit rows to codes, for table lookups: q^(mn) <= POOL_CAP
             self.weights = q ** np.arange(mn - 1, -1, -1, dtype=np.int64)
         # codes are generated in blocks that share all but their last
@@ -186,10 +183,6 @@ class _Engine:
             self.supports = np.concatenate([s for _, s in blocks])
             # supports are below 2^mn <= 2^22, exact as floats
             self.leads = (1 << np.frexp(self.supports)[1]) >> 1
-
-    def __reduce__(self):
-        # a worker started by spawn or forkserver builds its own engine
-        return _Engine, self.args
 
     # -- candidates ----------------------------------------------------------
 
@@ -373,8 +366,8 @@ class _Engine:
         if self.xor:
             ranks = self.table[cosets[:, :, None] ^ zs]
         else:
-            sums = self.ar.add(cosets[:, :, None],
-                               _code_digits(zs, self.q, self.mn))
+            sums = self.field.arrays.add(cosets[:, :, None],
+                                         _code_digits(zs, self.q, self.mn))
             if self.table is not None:
                 ranks = self.table[sums @ self.weights]
             else:
@@ -388,7 +381,7 @@ class _Engine:
         for X, supp in candidates:
             self._count(1)
             digits = np.array(_digits(X, self.q, self.mn))
-            sums = self.ar.add(self.span, digits)
+            sums = self.field.arrays.add(self.span, digits)
             if not (rank_batch(self.field, sums.reshape(-1, self.m, self.n))
                     == self.r).all():
                 continue
@@ -406,12 +399,14 @@ class _Engine:
     def _multiples(self, digits: np.ndarray) -> np.ndarray:
         """Digit rows of c X for c = 1, ..., q-1, for each digit row X of
         digits (shape (..., mn)), on a new next-to-last axis."""
-        return self.ar.mul(self.scalars[:, None], digits[..., None, :])
+        return self.field.arrays.mul(self.scalars[:, None],
+                                     digits[..., None, :])
 
     def _coset(self, digits: np.ndarray, span: np.ndarray) -> np.ndarray:
         """Digit rows of c X + s for c != 0 and s in span, for each digit
         row X of digits, on a new next-to-last axis."""
-        sums = self.ar.add(self._multiples(digits)[..., None, :], span)
+        sums = self.field.arrays.add(self._multiples(digits)[..., None, :],
+                                     span)
         return sums.reshape(*digits.shape[:-1], -1, self.mn)
 
     def _record(self, ends: list[int], at: list[int]) -> None:
@@ -526,6 +521,8 @@ def _run_parallel(engine, pool_len, workers):
     budget point lies in the first batch that overruns the rest of the
     budget, and the node counts of that batch's finds tell which of them
     come before it."""
+    from concurrent.futures import ProcessPoolExecutor
+
     nodes = found_count = 0
     witness = None
     batches, lo = [], 0
@@ -534,13 +531,14 @@ def _run_parallel(engine, pool_len, workers):
         # a later candidate has fewer successors in the canonical order
         batches.append((lo, min(pool_len, lo + 1 + lo // (8 * workers))))
         lo = batches[-1][1]
-    # once the deciding batch is in, the flag stops the running batches at
-    # their next node count and skips the rest, so the workers end of
-    # themselves; terminating them instead can leave a queue lock held
+    # once the deciding batch is in, the batches not yet started are
+    # cancelled and the flag stops the running ones at their next node count
     stop = multiprocessing.RawValue("b", 0)
-    pool = multiprocessing.Pool(workers, _start_worker, (engine, stop))
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context(),
+        initializer=_start_worker, initargs=(engine, stop))
     try:
-        for n, found_at, w, hit in pool.imap(_run_batch, batches):
+        for n, found_at, w, hit in pool.map(_run_batch, batches):
             left = engine.budget - nodes
             if n > left:
                 k = bisect_right(found_at, left)
@@ -553,8 +551,7 @@ def _run_parallel(engine, pool_len, workers):
                 break
     finally:
         stop.value = 1
-        pool.close()
-        pool.join()
+        pool.shutdown(cancel_futures=True)
     return nodes, found_count, witness, hit
 
 
@@ -570,8 +567,6 @@ def _start_worker(engine: _Engine, stop) -> None:
 
 def _run_batch(bounds: tuple[int, int]):
     found_at = array("q")
-    if _worker_engine.stop.value:
-        return 0, found_at, None, False
     nodes, _, witness, hit = _worker_engine.run(*bounds, found_at)
     return nodes, found_at, witness, hit
 
@@ -627,9 +622,7 @@ def brute_force_census(F: FieldSpec, m: int, n: int, r: int, dim: int, *,
         raise BudgetExceeded(
             f"census over {total} subspaces exceeds the budget {budget}"
         )
-    table = None
-    if q ** mn <= POOL_CAP:
-        table = np.frombuffer(_rank_table(F, m, n), dtype=np.uint8)
+    table = _rank_table(F, m, n) if q ** mn <= POOL_CAP else None
     xor = table is not None and F.p == 2
     ar = F.arrays
     weights = q ** np.arange(mn - 1, -1, -1, dtype=np.int64)

@@ -204,11 +204,12 @@ _BLOCK_START = 64
 _BLOCK_CAP = 2048
 
 
-def _check_budget(S: SubspaceBasis, budget: int) -> None:
-    total = S.field.q ** S.d
+def _check_budget(total: int, budget: int, what: str = "span",
+                  items: str = "elements") -> None:
+    """Refuse an enumeration of total items larger than budget."""
     if total > budget:
         raise BudgetExceeded(
-            f"span has {total} elements, enumeration budget is {budget}"
+            f"{what} has {total} {items}, enumeration budget is {budget}"
         )
 
 
@@ -280,7 +281,7 @@ def enumerate_elements(S: SubspaceBasis, *,
     """All q^d elements of the span as matrices, zero first, in coefficient
     lexicographic order.  Raises BudgetExceeded before yielding anything if
     the span is larger than budget."""
-    _check_budget(S, budget)
+    _check_budget(S.field.q ** S.d, budget)
 
     def gen() -> Iterator[MatGF]:
         for block in _span_blocks(S, [(0, S.field.q ** S.d)]):
@@ -300,7 +301,7 @@ def _ranked_blocks(S: SubspaceBasis, ranges: list[tuple[int, int]]
     """
     F, mn = S.field, S.m * S.n
     if F.q == 2 and mn <= 16:
-        table = np.frombuffer(_rank_table(F, S.m, S.n), dtype=np.uint8)
+        table = _rank_table(F, S.m, S.n)
         weights = 1 << np.arange(mn - 1, -1, -1)
         for block in _span_blocks(S, ranges):
             yield block, table[block.reshape(len(block), mn) @ weights]
@@ -336,7 +337,7 @@ def rank_profile(S: SubspaceBasis, *,
                  budget: int = DEFAULT_ENUMERATION_BUDGET) -> RankProfile:
     """Count span elements by rank (the zero element is skipped)."""
     q, d, m, n = S.field.q, S.d, S.m, S.n
-    _check_budget(S, budget)
+    _check_budget(q ** d, budget)
     # every scalar class holds q - 1 elements of one rank
     tally = np.zeros(min(m, n) + 1, dtype=np.int64)
     for _, ranks in _ranked_blocks(S, _class_ranges(q, d)):
@@ -355,7 +356,7 @@ def is_constant_rank(S: SubspaceBasis, r: int, *,
     m, n = S.m, S.n
     if not 1 <= r <= min(m, n):
         raise UsageError(f"target rank {r} outside 1..{min(m, n)}")
-    _check_budget(S, budget)
+    _check_budget(S.field.q ** S.d, budget)
     # the first offender leads with coefficient 1 (see the module
     # docstring), so it is the first offending class representative
     for block, ranks in _ranked_blocks(S, _class_ranges(S.field.q, S.d)):

@@ -242,6 +242,26 @@ def test_budget_bounds_the_vector_scan(command, tmp_path, capsys):
                             f"enumeration budget is 1000\n")
 
 
+@pytest.mark.parametrize("budget,message", [
+    (3, "span has 4 elements, enumeration budget is 3"),
+    (5, "vector space has 8 vectors, enumeration budget is 5"),
+])
+def test_counting_budget_checks_span_then_vectors(budget, message, tmp_path,
+                                                  capsys):
+    # a constant rank 3 plane over GF(2): 4 elements, 8 vectors in F^3
+    F = make_field(2)
+    target = tmp_path / "plane.txt"
+    target.write_text(make_subspace([
+        mat(F, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        mat(F, [[0, 0, 1], [1, 0, 1], [0, 1, 0]]),
+    ]).to_text())
+    code = main(["counting", "--input", str(target), "--budget", str(budget)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["bogus"],
     ["construct", "--field", "GF(6)", "--shape", "2x2", "--rank", "1"],
@@ -392,6 +412,20 @@ def test_python_m_runs_the_cli():
     )
     assert proc.returncode == 0
     assert "count=2" in proc.stdout
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the search imports its process pool when it starts one, so that
+    # every other command keeps the import time it had without it
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, constrank, constrank.cli; print(sorted(m for m in "
+         "('concurrent.futures', 'multiprocessing.pool') if m in sys.modules))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_python_m_cli_module_runs_the_cli(capsys):

@@ -9,15 +9,18 @@ main correctness evidence for both.
 from __future__ import annotations
 
 import collections
+import concurrent.futures
 import functools
 import itertools
 import multiprocessing
-import multiprocessing.pool
 import os
 import pickle
 import random
+import sys
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -37,6 +40,7 @@ from conftest import ref_rank
 import reference
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")
+_run_batch = search_mod._run_batch
 
 
 def test_gaussian_binomial_values():
@@ -223,11 +227,14 @@ def test_two_workers_give_the_serial_count_on_the_census_grid(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [(3,), (3, 2)], ids=["GF(3)", "GF(9)"])
-def test_engine_pickles_as_its_arguments(field):
-    # a worker started by spawn or forkserver unpickles the engine; the
-    # field arrays of an odd characteristic hold functions that do not
+def test_engine_pickles_as_itself(field):
+    # a worker started by spawn or forkserver unpickles the built engine,
+    # pool and rank table included; the field arrays of an odd
+    # characteristic hold functions that do not pickle, so it keeps none
     engine = search_mod._Engine(make_field(*field), 2, 2, 2, 2, 100, True)
     copy = pickle.loads(pickle.dumps(engine))
+    assert (copy.codes == engine.codes).all()
+    assert (copy.table == engine.table).all()
     assert copy.run(0, len(copy.codes)) == engine.run(0, len(engine.codes))
 
 
@@ -237,42 +244,74 @@ def test_two_workers_give_the_serial_result_under_spawn(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(search_mod, "multiprocessing",
                         multiprocessing.get_context("spawn"))
+    methods = []
+
+    def recorded(*args, mp_context, **kwargs):
+        methods.append(mp_context.get_start_method())
+        return ProcessPoolExecutor(*args, mp_context=mp_context, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
     for field, n, budget in (((3,), 3, 5000), ((3, 2), 2, 10 ** 6)):
         F = make_field(*field)
         kwargs = {"budget": budget, "count_all": True}
         serial = search_constant_rank(F, 2, n, 2, 2, **kwargs)
         multi = search_constant_rank(F, 2, n, 2, 2, workers=2, **kwargs)
         assert _summary(multi) == _summary(serial), field
+    assert methods == ["spawn", "spawn"]
 
 
-def test_two_workers_end_without_terminating_the_pool(gf2, monkeypatch):
-    # a search that leaves its pool early stops the workers and waits for
-    # them; terminating them can leave a queue lock held and hang
+# batches that entered _run_batch after the stop flag was set, counted
+# across the worker processes of one search
+_late_batches = None
+
+
+def _counted_batch(bounds):
+    if search_mod._worker_engine.stop.value:
+        _late_batches.value += 1
+    return _run_batch(bounds)
+
+
+def test_two_workers_cancel_the_batches_a_decided_search_skips(
+        gf2, monkeypatch):
+    # once a search is decided the batches not yet started are cancelled
+    # and the running ones stop: at most one running and one queued per
+    # worker, plus one more queued, enter after the flag; the workers end
+    # of themselves and none is left behind
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    terminated = []
-    terminate = multiprocessing.pool.Pool.terminate
-
-    def recorded(pool):
-        terminated.append(pool)
-        terminate(pool)
-
-    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", recorded)
+    monkeypatch.setattr(search_mod, "_run_batch", _counted_batch)
+    late = multiprocessing.RawValue("i", 0)
+    monkeypatch.setattr(sys.modules[__name__], "_late_batches", late)
     budget_point = search_constant_rank(gf2, 3, 3, 2, 4).nodes_explored - 1
     runs = [
         ((4, 4, 2, 4), {}),                          # found in the first batch
         ((3, 3, 2, 4), {"budget": budget_point}),
         ((3, 3, 2, 4), {"count_all": True}),
         ((3, 3, 2, 5), {}),                          # exhausted
-    ]
+    ] + [((4, 4, 2, 4), {})] * 50
     for box, kwargs in runs:
         serial = search_constant_rank(gf2, *box, **kwargs)
+        late.value = 0
         multi = search_constant_rank(gf2, *box, workers=2, **kwargs)
         assert _summary(multi) == _summary(serial), (box, kwargs)
-    early = _summary(search_constant_rank(gf2, 4, 4, 2, 4))
-    for _ in range(50):
-        assert _summary(search_constant_rank(gf2, 4, 4, 2, 4, workers=2)) \
-            == early
-    assert terminated == []
+        assert late.value <= 2 * 2 + 1, (box, kwargs, late.value)
+        assert multiprocessing.active_children() == []
+
+
+def _dying_batch(bounds):
+    if bounds[0] == 1:
+        os._exit(1)
+    return _run_batch(bounds)
+
+
+def test_a_dead_worker_breaks_the_search(gf2, monkeypatch):
+    # the pool notices the lost worker instead of waiting for its batch
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search_mod, "_run_batch", _dying_batch)
+    t0 = time.perf_counter()
+    with pytest.raises(BrokenProcessPool):
+        search_constant_rank(gf2, 3, 3, 2, 4, count_all=True, workers=2)
+    assert time.perf_counter() - t0 < 10.0
+    assert multiprocessing.active_children() == []
 
 
 def test_witness_larger_than_the_enumeration_budget_is_verified():
