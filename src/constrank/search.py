@@ -24,15 +24,18 @@ codes (in characteristic 2 the sum of two codes is then their XOR), and
 calls rank_batch otherwise.  Candidates streamed at each depth instead
 are checked one node at a time.
 
-brute_force_census enumerates ALL subspaces of a given dimension via
-reduced-echelon bases, in numpy blocks for every field (XOR of codes in
-characteristic 2), and counts the constant-rank ones; it shares no
-traversal code with the pruned search so the two can check each other.
+brute_force_census counts the constant-rank subspaces of a given
+dimension over ALL reduced-echelon bases: per pivot pattern it keeps the
+basis matrices of rank r, then checks the other combinations over the
+products of kept matrices, in numpy blocks for every field (XOR of codes
+in characteristic 2); it shares no traversal code with the pruned search
+so the two can check each other.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import os
 import time
@@ -575,7 +578,8 @@ def _run_batch(bounds: tuple[int, int]):
 # brute-force oracle
 # ---------------------------------------------------------------------------
 
-# free-entry assignments per census block
+# matrices of one basis-matrix space, or products of kept matrices, per
+# census block
 _CENSUS_BLOCK = 1 << 16
 
 
@@ -597,17 +601,24 @@ def brute_force_census(F: FieldSpec, m: int, n: int, r: int, dim: int, *,
     """Count dim-dimensional constant rank r spans of m-by-n matrices by
     enumerating every subspace via its reduced-echelon basis.
 
-    For each pivot pattern the free-entry assignments lie along one numpy
-    axis, in blocks of at most _CENSUS_BLOCK.  The coefficient vectors
-    with leading coefficient 1 are taken in ascending order, and a block
-    keeps only the subspaces whose combinations so far have rank r; a
-    basis matrix is built when first needed, for those subspaces only.
-    With a rank table in characteristic 2, c B is a code built with
-    shifts and a combination is an XOR of codes; otherwise digit rows are
-    summed through the field arrays and ranked by the table or by
-    rank_batch.  No traversal code is shared with the search.  Refuses to
-    start when the subspace count (the Gaussian binomial) exceeds the
-    budget.
+    In a pivot pattern, basis matrix i has entry 1 at its pivot, 0 at
+    every other pivot and before its own, and L_i free entries, so the
+    pattern's subspaces are the product of one space of q^(L_i) matrices
+    (a factor) per basis matrix.  Each basis matrix is an element of the
+    span on its own: the matrices of each factor are ranked once, in
+    blocks of at most _CENSUS_BLOCK, and only those of rank r are kept;
+    a pattern with an empty factor is skipped.  The products of kept
+    matrices are numbered along one numpy axis, in blocks of at most
+    _CENSUS_BLOCK, and each factor's index is derived from the product
+    index when first needed.  The coefficient vectors with leading
+    coefficient 1 and at least two nonzero entries are taken in
+    ascending order, and a block keeps only the products whose
+    combinations so far have rank r.  With a rank table in
+    characteristic 2, c B is a code built with shifts and a combination
+    is an XOR of codes; otherwise digit rows are summed through the
+    field arrays and ranked by the table or by rank_batch.  No traversal
+    code is shared with the search.  Refuses to start when the subspace
+    count (the Gaussian binomial) exceeds the budget.
     """
     if not (1 <= r <= min(m, n)):
         raise ShapeViolation(f"rank {r} outside 1..{min(m, n)}")
@@ -627,15 +638,18 @@ def brute_force_census(F: FieldSpec, m: int, n: int, r: int, dim: int, *,
     ar = F.arrays
     weights = q ** np.arange(mn - 1, -1, -1, dtype=np.int64)
 
-    def coefficient_vectors():
-        # leading coefficient 1, ascending
-        for j in range(dim - 1, -1, -1):
+    def combinations():
+        # leading coefficient 1 and at least two nonzero entries, ascending
+        for j in range(dim - 2, -1, -1):
             for tail in itertools.product(range(q), repeat=dim - 1 - j):
-                yield (0,) * j + (1,) + tail
+                if any(tail):
+                    yield (0,) * j + (1,) + tail
 
-    def build(pivot, own, x, values):
-        # the codes of x B, or the digit rows of B, for the basis matrix B
-        # whose entry t is digit k of the assignment for each (t, k) in own
+    def build(pivot, entries, x, values):
+        # the codes, or the digit rows, of x B for the basis matrices B
+        # with pivot pivot whose free entries entries hold the base-q
+        # digits of values, most significant first
+        own = [(t, len(entries) - 1 - b) for b, t in enumerate(entries)]
         if xor:
             times_x = ar.mul(x, np.arange(q))
             part = np.full(len(values), x * weights[pivot])
@@ -646,38 +660,65 @@ def brute_force_census(F: FieldSpec, m: int, n: int, r: int, dim: int, *,
         part[pivot] = 1
         for t, k in own:
             part[t] = values // q ** k % q
-        return part
+        return part if x == 1 else ar.mul(x, part)
+
+    def ranks(elem):
+        if table is None:
+            return rank_batch(F, elem.T.reshape(-1, m, n))
+        return table[elem if xor else weights @ elem]
+
+    def rank_r(pivot, entries):
+        # the values of the factor's rank-r matrices, block by block; a
+        # block's rows and ranks live until the next block replaces them,
+        # which keeps the allocator from handing their pages back between
+        # blocks (GF(7) 2x4 d1 page-faulted twice as often without)
+        size = q ** len(entries)
+        for lo in range(0, size, _CENSUS_BLOCK):
+            values = np.arange(lo, min(lo + _CENSUS_BLOCK, size))
+            part = build(pivot, entries, 1, values)
+            ranked = ranks(part)
+            yield values[ranked == r]
+
+    def count_products(pivots, free, kept):
+        # the products of kept matrices whose combinations have rank r
+        sizes = [len(v) for v in kept]
+        strides = [math.prod(sizes[i + 1:]) for i in range(dim)]
+        size = math.prod(sizes)
+        tables = {}   # (i, x): x B for the kept matrices B of factor i
+        found = 0
+        for lo in range(0, size, _CENSUS_BLOCK):
+            index = np.arange(lo, min(lo + _CENSUS_BLOCK, size))
+            parts = {}
+            for c in combinations():
+                for i, x in enumerate(c):
+                    if x and (i, x) not in parts:
+                        if (i, x) not in tables:
+                            tables[i, x] = build(pivots[i], free[i], x, kept[i])
+                        parts[i, x] = tables[i, x][
+                            ..., index // strides[i] % sizes[i]]
+                elem = reduce(ar.add, [parts[i, x] for i, x in enumerate(c)
+                                       if x])   # XOR if p = 2
+                keep = ranks(elem) == r
+                if not keep.all():
+                    index = index[keep]
+                    parts = {key: p[..., keep] for key, p in parts.items()}
+                    if not len(index):
+                        break
+            found += len(index)
+        return found
 
     count = 0
     for pivots in itertools.combinations(range(mn), dim):
-        free = [(i, t) for i in range(dim) for t in range(pivots[i] + 1, mn)
-                if t not in pivots]
-        own = [[(t, len(free) - 1 - b) for b, (j, t) in enumerate(free)
-                if j == i] for i in range(dim)]
-        size = q ** len(free)
-        for lo in range(0, size, _CENSUS_BLOCK):
-            values = np.arange(lo, min(lo + _CENSUS_BLOCK, size))
-            parts = {}
-            for c in coefficient_vectors():
-                terms = []
-                for i, x in enumerate(c):
-                    if not x:
-                        continue
-                    key = (i, x) if xor else i
-                    if key not in parts:
-                        parts[key] = build(pivots[i], own[i], x, values)
-                    terms.append(parts[key] if xor or x == 1
-                                 else ar.mul(x, parts[key]))
-                elem = reduce(ar.add, terms)   # XOR if p = 2
-                if table is None:
-                    ranks = rank_batch(F, elem.T.reshape(-1, m, n))
-                else:
-                    ranks = table[elem if xor else weights @ elem]
-                keep = ranks == r
-                if not keep.all():
-                    values = values[keep]
-                    parts = {key: p[..., keep] for key, p in parts.items()}
-                    if not len(values):
-                        break
-            count += len(values)
+        free = [[t for t in range(p + 1, mn) if t not in pivots]
+                for p in pivots]
+        if dim == 1:   # the basis matrix is the span
+            count += sum(len(v) for v in rank_r(pivots[0], free[0]))
+            continue
+        kept = []
+        for pivot, entries in zip(pivots, free):
+            kept.append(np.concatenate(list(rank_r(pivot, entries))))
+            if not len(kept[-1]):
+                break
+        else:
+            count += count_products(pivots, free, kept)
     return count

@@ -622,6 +622,8 @@ _REFERENCE_BOXES = [
     ((2, 2), 1, 3, 2), ((2, 2), 2, 2, 2),
     ((5,), 1, 3, 2),
     ((7,), 1, 2, 2), ((7,), 1, 3, 1),
+    # odd-extension addition, and multiples x != 1 in combinations
+    ((3, 2), 1, 2, 2), ((3,), 1, 4, 2),
 ]
 
 
@@ -684,16 +686,50 @@ def test_invertible_plane_count_matches_the_closed_form(field, monkeypatch):
     _closed_form_check(F, 2, 2, 2, 2, expected, monkeypatch)
 
 
-def test_census_memory_is_bounded_by_the_block(gf2):
-    # laying out all 2^20 assignments of a pivot pattern at once needs
-    # about 37 MB here
+def test_census_memory_is_bounded_by_the_block(gf2, monkeypatch):
+    # the largest pivot pattern keeps 172,800 products of rank-2 basis
+    # matrices, 43 blocks here; laying them out at once peaks near 7 MB
+    monkeypatch.setattr(search_mod, "_CENSUS_BLOCK", 1 << 12)
     tracemalloc.start()
     try:
-        assert brute_force_census(gf2, 3, 3, 1, 5) == 0
+        assert brute_force_census(gf2, 3, 3, 2, 4) == 1176
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_census_ranks_basis_matrices_in_blocks():
+    # without a rank table: ranking the 7^7 matrices of the first pivot
+    # pattern at once peaks near 130 MB
+    F = make_field(7)
+    tracemalloc.start()
+    try:
+        assert brute_force_census(F, 2, 4, 1, 1) == 3200
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+def test_census_calls_rank_batch_on_blocks(monkeypatch):
+    # both stages, without a rank table: the largest factor has 81
+    # matrices and the largest pattern 5,184 products
+    F = make_field(3)
+    expected = brute_force_census(F, 2, 3, 2, 2)
+    sizes = []
+    rank_batch = search_mod.rank_batch
+
+    def spy(field, codes):
+        sizes.append(len(codes))
+        return rank_batch(field, codes)
+
+    monkeypatch.setattr(search_mod, "POOL_CAP", 1)
+    monkeypatch.setattr(search_mod, "_rank_table", None)
+    monkeypatch.setattr(search_mod, "_CENSUS_BLOCK", 64)
+    monkeypatch.setattr(search_mod, "rank_batch", spy)
+    assert brute_force_census(F, 2, 3, 2, 2) == expected
+    assert max(sizes) == 64
 
 
 def test_census_budget(gf2):
