@@ -638,7 +638,7 @@ def brute_force_census(F: FieldSpec, m: int, n: int, r: int, dim: int, *,
     ar = F.arrays
     weights = q ** np.arange(mn - 1, -1, -1, dtype=np.int64)
 
-    def combinations():
+    def coefficient_vectors():
         # leading coefficient 1 and at least two nonzero entries, ascending
         for j in range(dim - 2, -1, -1):
             for tail in itertools.product(range(q), repeat=dim - 1 - j):
@@ -646,21 +646,20 @@ def brute_force_census(F: FieldSpec, m: int, n: int, r: int, dim: int, *,
                     yield (0,) * j + (1,) + tail
 
     def build(pivot, entries, x, values):
-        # the codes, or the digit rows, of x B for the basis matrices B
-        # with pivot pivot whose free entries entries hold the base-q
+        # the codes of x B, or the digit rows of B, for the basis matrices
+        # B with pivot pivot whose free entries entries hold the base-q
         # digits of values, most significant first
-        own = [(t, len(entries) - 1 - b) for b, t in enumerate(entries)]
         if xor:
             times_x = ar.mul(x, np.arange(q))
             part = np.full(len(values), x * weights[pivot])
-            for t, k in own:
+            for k, t in enumerate(reversed(entries)):
                 part |= times_x[values >> F.e * k & (q - 1)] * weights[t]
             return part
         part = np.zeros((mn, len(values)), dtype=np.int32)
         part[pivot] = 1
-        for t, k in own:
+        for k, t in enumerate(reversed(entries)):
             part[t] = values // q ** k % q
-        return part if x == 1 else ar.mul(x, part)
+        return part
 
     def ranks(elem):
         if table is None:
@@ -684,20 +683,25 @@ def brute_force_census(F: FieldSpec, m: int, n: int, r: int, dim: int, *,
         sizes = [len(v) for v in kept]
         strides = [math.prod(sizes[i + 1:]) for i in range(dim)]
         size = math.prod(sizes)
-        tables = {}   # (i, x): x B for the kept matrices B of factor i
+        tables = {}   # by key: build() of the kept matrices of factor i
         found = 0
         for lo in range(0, size, _CENSUS_BLOCK):
             index = np.arange(lo, min(lo + _CENSUS_BLOCK, size))
             parts = {}
-            for c in combinations():
+            for c in coefficient_vectors():
+                terms = []
                 for i, x in enumerate(c):
-                    if x and (i, x) not in parts:
-                        if (i, x) not in tables:
-                            tables[i, x] = build(pivots[i], free[i], x, kept[i])
-                        parts[i, x] = tables[i, x][
+                    if not x:
+                        continue
+                    key = (i, x) if xor else i
+                    if key not in parts:
+                        if key not in tables:
+                            tables[key] = build(pivots[i], free[i], x, kept[i])
+                        parts[key] = tables[key][
                             ..., index // strides[i] % sizes[i]]
-                elem = reduce(ar.add, [parts[i, x] for i, x in enumerate(c)
-                                       if x])   # XOR if p = 2
+                    terms.append(parts[key] if xor or x == 1
+                                 else ar.mul(x, parts[key]))
+                elem = reduce(ar.add, terms)   # XOR if p = 2
                 keep = ranks(elem) == r
                 if not keep.all():
                     index = index[keep]
