@@ -605,9 +605,11 @@ def brute_force_census(F: FieldSpec, m: int, n: int, r: int, dim: int, *,
     every other pivot and before its own, and L_i free entries, so the
     pattern's subspaces are the product of one space of q^(L_i) matrices
     (a factor) per basis matrix.  Each basis matrix is an element of the
-    span on its own: the matrices of each factor are ranked once, in
-    blocks of at most _CENSUS_BLOCK, and only those of rank r are kept;
-    a pattern with an empty factor is skipped.  The products of kept
+    span on its own: the matrices of each factor are ranked in blocks of
+    at most _CENSUS_BLOCK, and only those of rank r are kept; a pattern
+    with an empty factor is skipped.  A factor is fixed by its pivot and
+    free entries and recurs across patterns, so it is ranked, and its
+    kept matrices built, once per census.  The products of kept
     matrices are numbered along one numpy axis, in blocks of at most
     _CENSUS_BLOCK, and each factor's index is derived from the product
     index when first needed.  The coefficient vectors with leading
@@ -678,12 +680,11 @@ def brute_force_census(F: FieldSpec, m: int, n: int, r: int, dim: int, *,
             ranked = ranks(part)
             yield values[ranked == r]
 
-    def count_products(pivots, free, kept):
+    def count_products(factors):
         # the products of kept matrices whose combinations have rank r
-        sizes = [len(v) for v in kept]
+        sizes = [len(kept[f]) for f in factors]
         strides = [math.prod(sizes[i + 1:]) for i in range(dim)]
         size = math.prod(sizes)
-        tables = {}   # by key: build() of the kept matrices of factor i
         found = 0
         for lo in range(0, size, _CENSUS_BLOCK):
             index = np.arange(lo, min(lo + _CENSUS_BLOCK, size))
@@ -693,11 +694,9 @@ def brute_force_census(F: FieldSpec, m: int, n: int, r: int, dim: int, *,
                 for i, x in enumerate(c):
                     if not x:
                         continue
-                    key = (i, x) if xor else i
+                    key = (i, x if xor else 1)
                     if key not in parts:
-                        if key not in tables:
-                            tables[key] = build(pivots[i], free[i], x, kept[i])
-                        parts[key] = tables[key][
+                        parts[key] = table_of(factors[i], key[1])[
                             ..., index // strides[i] % sizes[i]]
                     terms.append(parts[key] if xor or x == 1
                                  else ar.mul(x, parts[key]))
@@ -711,18 +710,27 @@ def brute_force_census(F: FieldSpec, m: int, n: int, r: int, dim: int, *,
             found += len(index)
         return found
 
+    # by factor (pivot, free entries), which recurs across pivot patterns:
+    # the values of its rank-r matrices, and build() of those by multiple
+    kept, tables = {}, {}
+
+    def table_of(factor, x):
+        if (factor, x) not in tables:
+            tables[factor, x] = build(*factor, x, kept[factor])
+        return tables[factor, x]
+
     count = 0
     for pivots in itertools.combinations(range(mn), dim):
-        free = [[t for t in range(p + 1, mn) if t not in pivots]
-                for p in pivots]
+        factors = [(p, tuple(t for t in range(p + 1, mn) if t not in pivots))
+                   for p in pivots]
         if dim == 1:   # the basis matrix is the span
-            count += sum(len(v) for v in rank_r(pivots[0], free[0]))
+            count += sum(len(v) for v in rank_r(*factors[0]))
             continue
-        kept = []
-        for pivot, entries in zip(pivots, free):
-            kept.append(np.concatenate(list(rank_r(pivot, entries))))
-            if not len(kept[-1]):
+        for f in factors:
+            if f not in kept:
+                kept[f] = np.concatenate(list(rank_r(*f)))
+            if not len(kept[f]):
                 break
         else:
-            count += count_products(pivots, free, kept)
+            count += count_products(factors)
     return count
