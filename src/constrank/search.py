@@ -22,7 +22,7 @@ of their children stay compatible, and nodes are counted in bulk.  The
 pass reads a rank table indexed by code when there are at most POOL_CAP
 codes (in characteristic 2 the sum of two codes is then their XOR), and
 calls rank_batch otherwise.  Candidates streamed at each depth instead
-are checked one node at a time.
+are checked against the span, and counted, in chunks that grow.
 
 brute_force_census counts the constant-rank subspaces of a given
 dimension over ALL reduced-echelon bases: per pivot pattern it keeps the
@@ -55,7 +55,7 @@ from .errors import (
 )
 from .field import FieldSpec
 from .matrix import MatGF, _code_digits, _rank_table, rank_batch
-from .subspace import SubspaceBasis, is_constant_rank
+from .subspace import SubspaceBasis, _class_ranges, is_constant_rank
 
 __all__ = [
     "DEFAULT_CENSUS_BUDGET",
@@ -146,8 +146,8 @@ class _Engine:
     A budget stops the count at exactly the budget.  In a worker process
     the shared flag stop (see _run_parallel) stops it at the next count.
 
-    The stream has no rank table.  It checks one node at a time, ranking
-    X + s for every s in the span with rank_batch.
+    The stream has no rank table.  It checks a chain's children from
+    _blocks in growing chunks, one rank_batch call each, counted in bulk.
     """
 
     stop = None
@@ -181,7 +181,7 @@ class _Engine:
         self.codes = self.supports = self.leads = None
         if (q ** mn - 1) // (q - 1) <= POOL_CAP:
             blocks = [(base + t, head | supp)
-                      for base, head, t, supp in self._blocks(0, 0)]
+                      for base, head, t, supp, _ in self._blocks(0, 0)]
             self.codes = np.concatenate([c for c, _ in blocks])
             self.supports = np.concatenate([s for _, s in blocks])
             # supports are below 2^mn <= 2^22, exact as floats
@@ -191,8 +191,9 @@ class _Engine:
 
     def _blocks(self, after: int, mask: int):
         """The rank-r projective codes above after whose support misses
-        mask, ascending, in blocks (base, head, offsets, supports): the
-        codes are base + offsets and their supports head | supports."""
+        mask, ascending, in blocks (base, head, offsets, supports, rows):
+        the codes are base + offsets, their supports head | supports and,
+        when there is no rank table, their digit rows rows (else None)."""
         q, mn, low_len = self.q, self.mn, self.low_len
         size = q ** low_len
         high_len = mn - low_len
@@ -216,21 +217,16 @@ class _Engine:
                 rows = rows[rows > after - base]
             rows = rows[(low_supp[rows] & low_mask) == 0]
             if self.table is not None:
+                block = None
                 ranks = self.table[base + rows]
             else:
                 block = np.empty((len(rows), mn), dtype=np.int32)
                 block[:, :high_len] = head_digits
                 block[:, high_len:] = digits[rows]
                 ranks = rank_batch(self.field, block.reshape(-1, self.m, self.n))
-            hit = rows[ranks == self.r]
-            yield base, head, hit, low_supp[hit]
-
-    def _after(self, X: int):
-        """(code, support) pairs of the streamed candidates above X whose
-        support misses the pivot mask, ascending."""
-        return ((base + t, head | s)
-                for base, head, hit, supp in self._blocks(X, self.pivot_mask)
-                for t, s in zip(hit.tolist(), supp.tolist()))
+            keep = ranks == self.r
+            yield (base, head, rows[keep], low_supp[rows[keep]],
+                   None if block is None else block[keep])
 
     # -- traversal -----------------------------------------------------------
 
@@ -245,9 +241,7 @@ class _Engine:
         self.chain: list[int] = []
         try:
             if self.codes is None:
-                self.span = np.zeros((1, self.mn), dtype=np.int32)
-                self.pivot_mask = 0
-                self._extend(0, self._after(0))
+                self._stream(0, 0, np.zeros((1, self.mn), dtype=np.int32), 0)
             elif self.target_dim == 1:
                 self._leaves(hi - lo, np.arange(1, hi - lo + 1),
                              [int(self.codes[lo])])
@@ -274,11 +268,18 @@ class _Engine:
     def _leaves(self, nodes, finds, ends) -> None:
         """Count nodes that end at the last depth.  The ascending 1-based
         offsets finds are those of the finds; the first of them ends the
-        chain with the codes ends."""
+        chain with the codes ends, and stops the search without count_all."""
         k = int(finds.searchsorted(self.budget - self.nodes, "right"))
         if k:
-            at = self.nodes + finds[:k if self.count_all else 1]
-            self._record(ends, at.tolist())
+            at = (self.nodes + finds[:k if self.count_all else 1]).tolist()
+            if self.witness is None:
+                self.witness = self.chain + ends
+            self.found_count += len(at)
+            if self.found_at is not None:
+                self.found_at.extend(at)
+            if not self.count_all:
+                self.nodes = at[0]
+                raise _FoundEarly
         self._count(nodes)
 
     def _level(self, depth, codes, supports, leads, ok, span, stop) -> None:
@@ -360,7 +361,8 @@ class _Engine:
             cosets = self._coset(_code_digits(ys, self.q, self.mn), span)
         # at most _LOOK_AHEAD sums at a time
         step = max(1, _LOOK_AHEAD // (len(ys) * cosets.shape[1]))
-        good = [self._compatible(cosets, zs[a:a + step])
+        good = [self._compatible(cosets, zs[a:a + step] if self.xor else
+                                 _code_digits(zs[a:a + step], self.q, self.mn))
                 for a in range(0, len(zs), step)]
         return good[0] if len(good) == 1 else np.concatenate(good, 1), cosets
 
@@ -369,8 +371,7 @@ class _Engine:
         if self.xor:
             ranks = self.table[cosets[:, :, None] ^ zs]
         else:
-            sums = self.field.arrays.add(cosets[:, :, None],
-                                         _code_digits(zs, self.q, self.mn))
+            sums = self.field.arrays.add(cosets[:, :, None], zs)
             if self.table is not None:
                 ranks = self.table[sums @ self.weights]
             else:
@@ -378,26 +379,33 @@ class _Engine:
                                    ).reshape(sums.shape[:3])
         return (ranks == self.r).all(axis=1)
 
-    def _extend(self, depth: int, candidates) -> None:
-        """The stream's traversal: one node at a time."""
-        last = self.target_dim - 1
-        for X, supp in candidates:
-            self._count(1)
-            digits = np.array(_digits(X, self.q, self.mn))
-            sums = self.field.arrays.add(self.span, digits)
-            if not (rank_batch(self.field, sums.reshape(-1, self.m, self.n))
-                    == self.r).all():
-                continue
-            if depth == last:
-                self._record([X], [self.nodes])
-                continue
-            saved = self.span, self.pivot_mask
-            self.chain.append(X)
-            self.span = np.concatenate((self.span, self._coset(digits, self.span)))
-            self.pivot_mask |= 1 << (supp.bit_length() - 1)
-            self._extend(depth + 1, self._after(X))
-            self.chain.pop()
-            self.span, self.pivot_mask = saved
+    def _stream(self, depth, after, span, mask) -> None:
+        """Count the children of the chain whose span is span (0 first),
+        the candidates above after whose support misses mask, block by
+        block, and search below those compatible with the span."""
+        for base, head, hit, supp, rows in self._blocks(after, mask):
+            pos = lo = 0   # the candidates before pos are counted
+            # chunks double from 16 candidates up to _LOOK_AHEAD sums, so an
+            # early find is cheap; candidates have rank r, so 0 is not checked
+            while lo < len(hit):
+                hi = lo + max(16, min(lo, _LOOK_AHEAD // len(span)))
+                good = (np.ones(len(hit[lo:hi]), dtype=bool) if not depth else
+                        self._compatible(span[None, 1:], rows[lo:hi])[0])
+                if depth + 1 == self.target_dim:
+                    self._leaves(len(good), good.nonzero()[0] + 1,
+                                 [base + int(t) for t in hit[lo:hi][good][:1]])
+                    pos = lo = lo + len(good)
+                    continue
+                for i in (good.nonzero()[0] + lo).tolist():
+                    self._count(i + 1 - pos)
+                    pos = i + 1
+                    self.chain.append(base + int(hit[i]))
+                    self._stream(depth + 1, self.chain[-1], np.concatenate(
+                        (span, self._coset(rows[i], span))),
+                        mask | 1 << (head | int(supp[i])).bit_length() - 1)
+                    self.chain.pop()
+                lo = hi
+            self._count(len(hit) - pos)
 
     def _multiples(self, digits: np.ndarray) -> np.ndarray:
         """Digit rows of c X for c = 1, ..., q-1, for each digit row X of
@@ -411,19 +419,6 @@ class _Engine:
         sums = self.field.arrays.add(self._multiples(digits)[..., None, :],
                                      span)
         return sums.reshape(*digits.shape[:-1], -1, self.mn)
-
-    def _record(self, ends: list[int], at: list[int]) -> None:
-        """Record finds at the node counts at, the first of them ending
-        the chain with the codes ends; without count_all the search stops
-        there."""
-        if self.witness is None:
-            self.witness = self.chain + ends
-        self.found_count += len(at)
-        if self.found_at is not None:
-            self.found_at.extend(at)
-        if not self.count_all:
-            self.nodes = at[0]
-            raise _FoundEarly
 
 
 @lru_cache(maxsize=32)
@@ -615,12 +610,12 @@ def brute_force_census(F: FieldSpec, m: int, n: int, r: int, dim: int, *,
     index when first needed.  The coefficient vectors with leading
     coefficient 1 and at least two nonzero entries are taken in
     ascending order, and a block keeps only the products whose
-    combinations so far have rank r.  With a rank table in
-    characteristic 2, c B is a code built with shifts and a combination
-    is an XOR of codes; otherwise digit rows are summed through the
-    field arrays and ranked by the table or by rank_batch.  No traversal
-    code is shared with the search.  Refuses to start when the subspace
-    count (the Gaussian binomial) exceeds the budget.
+    combinations so far have rank r.  Each c B is built as digit rows
+    times c, packed to codes that add by XOR by one product with the
+    code weights when there is a rank table in characteristic 2, else
+    summed through the field arrays and ranked by table or rank_batch.
+    No traversal code is shared with the search.  Refuses to start when
+    the subspace count (the Gaussian binomial) exceeds the budget.
     """
     if not (1 <= r <= min(m, n)):
         raise ShapeViolation(f"rank {r} outside 1..{min(m, n)}")
@@ -640,28 +635,24 @@ def brute_force_census(F: FieldSpec, m: int, n: int, r: int, dim: int, *,
     ar = F.arrays
     weights = q ** np.arange(mn - 1, -1, -1, dtype=np.int64)
 
-    def coefficient_vectors():
-        # leading coefficient 1 and at least two nonzero entries, ascending
-        for j in range(dim - 2, -1, -1):
-            for tail in itertools.product(range(q), repeat=dim - 1 - j):
-                if any(tail):
-                    yield (0,) * j + (1,) + tail
+    # coefficient vectors with leading coefficient 1 and at least two
+    # nonzero entries, ascending
+    vectors = [tuple(c) for c in (_digits(i, q, dim)
+                                  for lo, hi in _class_ranges(q, dim)
+                                  for i in range(lo, hi))
+               if sum(map(bool, c)) > 1]
 
     def build(pivot, entries, x, values):
-        # the codes of x B, or the digit rows of B, for the basis matrices
-        # B with pivot pivot whose free entries entries hold the base-q
-        # digits of values, most significant first
-        if xor:
-            times_x = ar.mul(x, np.arange(q))
-            part = np.full(len(values), x * weights[pivot])
-            for k, t in enumerate(reversed(entries)):
-                part |= times_x[values >> F.e * k & (q - 1)] * weights[t]
-            return part
+        # the matrices x B (codes with XOR, digit rows otherwise) for the
+        # basis matrices B with pivot pivot whose free entries entries
+        # hold the base-q digits of values, most significant first
         part = np.zeros((mn, len(values)), dtype=np.int32)
         part[pivot] = 1
         for k, t in enumerate(reversed(entries)):
             part[t] = values // q ** k % q
-        return part
+        if x != 1:
+            part = ar.mul(x, part)
+        return weights @ part if xor else part
 
     def ranks(elem):
         if table is None:
@@ -689,7 +680,7 @@ def brute_force_census(F: FieldSpec, m: int, n: int, r: int, dim: int, *,
         for lo in range(0, size, _CENSUS_BLOCK):
             index = np.arange(lo, min(lo + _CENSUS_BLOCK, size))
             parts = {}
-            for c in coefficient_vectors():
+            for c in vectors:
                 terms = []
                 for i, x in enumerate(c):
                     if not x:

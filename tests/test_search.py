@@ -423,12 +423,39 @@ _NON_BINARY_PINS = [
 ]
 
 
-_pins = pytest.mark.parametrize(
-    "field,m,n,r,dim,count_all,budget,status,nodes,found,witness",
-    _NON_BINARY_PINS,
-    ids=[f"GF({make_field(*f).q})-{m}x{n}-r{r}-d{d}-"
-         + ("all" if a else "find") + ("" if b is None else f"-budget{b}")
-         for f, m, n, r, d, a, b, *_ in _NON_BINARY_PINS])
+# Recorded from the stream when it still checked and counted one node at
+# a time, with the real POOL_CAP: these shapes have more scalar classes
+# than the cap, and their children run over many head blocks.
+_STREAM_PINS = [
+    ((3,), 4, 4, 3, 3, False, None, "found", 1824, 1,
+     [(0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0),
+      (0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 1, 0, 0, 0),
+      (0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1)]),
+    ((2,), 5, 5, 2, 3, False, None, "found", 10, 1,
+     [(0,) * 19 + (1, 0, 0, 0, 1, 0),
+      (0,) * 18 + (1, 0, 0, 0, 0, 1, 1),
+      (0,) * 17 + (1, 0, 0, 0, 1, 0, 0, 0)]),
+    ((2, 2), 3, 4, 2, 3, False, None, "found", 67, 1,
+     [(0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0),
+      (0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 2),
+      (0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0)]),
+    ((3,), 4, 4, 3, 4, False, 20000, "found", 3053, 1,
+     [(0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0),
+      (0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 1, 0, 0, 0),
+      (0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1),
+      (0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1, 2)]),
+]
+
+
+def _pinned(pins):
+    return pytest.mark.parametrize(
+        "field,m,n,r,dim,count_all,budget,status,nodes,found,witness", pins,
+        ids=[f"GF({make_field(*f).q})-{m}x{n}-r{r}-d{d}-"
+             + ("all" if a else "find") + ("" if b is None else f"-budget{b}")
+             for f, m, n, r, d, a, b, *_ in pins])
+
+
+_pins = _pinned(_NON_BINARY_PINS)
 
 
 @_pins
@@ -460,6 +487,18 @@ def test_non_binary_pins_hold_in_tiny_blocks(field, m, n, r, dim, count_all,
                                          witness, monkeypatch)
 
 
+@_pinned(_STREAM_PINS)
+def test_stream_accounting_is_pinned(field, m, n, r, dim, count_all, budget,
+                                     status, nodes, found, witness,
+                                     monkeypatch):
+    engine = search_mod._Engine(make_field(*field), m, n, r, dim, 1,
+                                count_all)
+    assert engine.codes is None
+    test_non_binary_accounting_is_pinned(field, m, n, r, dim, count_all,
+                                         budget, status, nodes, found,
+                                         witness, monkeypatch)
+
+
 def test_census_grid_parity_holds_in_tiny_blocks(monkeypatch):
     monkeypatch.setattr(search_mod, "_LOOK_AHEAD", _TINY_LOOK_AHEAD)
     test_two_workers_give_the_serial_count_on_the_census_grid(monkeypatch)
@@ -484,13 +523,23 @@ _REFERENCE_SEARCH_BOXES = [
 ]
 
 
+# The pool; the stream; and the stream in blocks of at most 8 codes (or q),
+# whose candidates run over many head blocks, so that pivot digits fall
+# in the head.
+_SEARCH_PATHS = {"pool": {}, "stream": {"POOL_CAP": 1},
+                 "stream-blocks-of-8": {"POOL_CAP": 1, "_BLOCK": 8}}
+
+
+@pytest.mark.parametrize("path", _SEARCH_PATHS)
 @pytest.mark.parametrize(
     "field,boxes", _REFERENCE_SEARCH_BOXES,
     ids=[f"GF({make_field(*f).q})" for f, _ in _REFERENCE_SEARCH_BOXES])
-def test_search_matches_the_naive_reference(field, boxes, monkeypatch):
+def test_search_matches_the_naive_reference(field, boxes, path, monkeypatch):
     # at budget 1, at the node count and one either side, and at seeded
     # points inside the tree, with one worker and two
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for name, value in _SEARCH_PATHS[path].items():
+        monkeypatch.setattr(search_mod, name, value)
     F = make_field(*field)
     R = reference.Field(F.p, F.e, F.modulus)
     rng = random.Random(f"reference search {F.q}")
