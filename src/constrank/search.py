@@ -18,11 +18,12 @@ Candidates are ranked in numpy blocks, and the test that a candidate
 vanishes at the leading positions is a mask on its support.  When the
 candidates fit in memory (the pool), each depth keeps the compatibility
 of its children, one numpy pass over a block of siblings decides which
-of their children stay compatible, and nodes are counted in bulk.  The
-pass reads a rank table indexed by code when there are at most POOL_CAP
-codes (in characteristic 2 the sum of two codes is then their XOR), and
-calls rank_batch otherwise.  Candidates streamed at each depth instead
-are checked against the span, and counted, in chunks that grow.
+of their children stay compatible and which siblings can hold a find,
+and nodes are counted in bulk.  The pass reads a rank table indexed by
+code when there are at most POOL_CAP codes (in characteristic 2 the sum
+of two codes is then their XOR), and calls rank_batch otherwise.
+Candidates streamed at each depth instead are checked against the span,
+and counted, in chunks that grow.
 
 brute_force_census counts the constant-rank subspaces of a given
 dimension over ALL reduced-echelon bases: per pivot pattern it keeps the
@@ -138,13 +139,15 @@ class _Engine:
     ones stay compatible once Y enters: Z + t has rank r for every
     t = c Y + s, c != 0 and s in the span or 0.  The pass reads the rank
     table (XOR of codes in characteristic 2, digit rows otherwise), or
-    calls rank_batch when there is no table.  Nodes are counted in bulk,
-    by prefix sums over the block: the incompatible siblings, the
-    children of a sibling with no compatible child (it is not entered),
-    those of a sibling with one (whose children cannot be compatible)
-    and the leaves at the last depth, whose compatible ones are finds.
-    A budget stops the count at exactly the budget.  In a worker process
-    the shared flag stop (see _run_parallel) stops it at the next count.
+    calls rank_batch when there is no table.  A sibling is entered only
+    when a compatible child Y has a later one that misses Y's lead (else
+    no child of it can extend).  Nodes are counted in bulk, by prefix
+    sums over the block: the incompatible siblings, the children and
+    grandchildren of the siblings not entered (Y's children are the
+    codes above Y's lead that miss both leads) and the leaves at the
+    last depth, whose compatible ones are finds.  A budget stops the
+    count at exactly the budget.  In a worker process the shared flag
+    stop (see _run_parallel) stops it at the next count.
 
     The stream has no rank table.  It checks a chain's children from
     _blocks in growing chunks, one rank_batch call each, counted in bulk.
@@ -290,6 +293,7 @@ class _Engine:
         width = (self.q - 1) * len(span)   # elements a sibling adds
         sibs = ok[:stop].nonzero()[0]
         pos = i = 0   # the children before pos are counted
+        pairs = None
         # blocks grow from a sixteenth of the cap, so that a find under an
         # early sibling costs little work on the later ones
         limit = _LOOK_AHEAD >> 4
@@ -327,20 +331,36 @@ class _Engine:
                 ends = [int(codes[block[bs[0]]]), int(codes[zs[js[0]] + rest])]
                 self._leaves(at[-1] + free[-1], finds, ends)
                 continue
+            # enter: a compatible child y has a later one that misses y's lead
+            seen = np.bitwise_or.accumulate(good * leads[zs + rest], axis=1)
+            enter = (good[:, 1:] & (seen[:, :-1] & ~supports[zs[1:] + rest]
+                                    != 0)).any(axis=1)
+            dead = good & ~enter[:, None]
             done = 0   # the nodes of this block counted so far
-            # a sibling without compatible children is not entered
-            for b in good.any(axis=1).nonzero()[0].tolist():
+            for b in enter.nonzero()[0].tolist() + [len(block)]:
+                if dead[:b].any():
+                    # bulk grandchildren: y's children are the codes that miss
+                    # the sibling's bit a and y's bit p < lead, pairs[a, p]
+                    if pairs is None:   # once per level, in bounded chunks
+                        pairs, bits = 0, np.frexp(leads)[1] - 1
+                        below = (~supports & leads - 1).astype('<u4')[:, None]
+                        for lo in range(0, len(codes), _LOOK_AHEAD):
+                            miss = np.unpackbits(
+                                below[lo:lo + _LOOK_AHEAD].view(np.uint8), 1,
+                                self.mn, 'little').astype(np.float32)
+                            pairs = pairs + (miss.T @ miss).astype(int)
+                    extra = (pairs[bits[block, None], bits[zs + rest]]
+                             * dead).sum(axis=1)
+                    free += extra
+                    at += extra.cumsum() - extra
+                    dead[:] = False
+                if b == len(block):
+                    break
                 self._count(at[b] - done)
                 done = at[b] + free[b]
-                mine = zs[good[b]] + rest
-                if len(mine) == 1:
-                    # a lone compatible child has no compatible child
-                    self._count(free[b] + ((supports[mine[0] + 1:] & (
-                        leads[block[b]] | leads[mine[0]])) == 0).sum())
-                    continue
                 child = kids[b].nonzero()[0] + rest
                 child_ok = np.zeros(len(codes), dtype=bool)
-                child_ok[mine] = True
+                child_ok[zs[good[b]] + rest] = True
                 self.chain.append(int(codes[block[b]]))
                 self._level(depth + 1, codes[child], supports[child],
                             leads[child], child_ok[child],

@@ -184,21 +184,57 @@ def _summary(out):
     return out.status, out.witness, out.nodes_explored, out.found_count
 
 
-@pytest.mark.parametrize("box", [(3, 3, 2, 4), (3, 4, 2, 4), (4, 4, 2, 4),
-                                 (4, 4, 3, 4)],
-                         ids=lambda box: "{}x{}-r{}-d{}".format(*box))
-def test_two_workers_give_the_serial_result_at_the_budget(gf2, box,
+_BUDGET_BOXES = [((2,), (3, 3, 2, 4)), ((2,), (3, 4, 2, 4)),
+                 ((2,), (4, 4, 2, 4)), ((2,), (4, 4, 3, 4)),
+                 ((2, 2), (2, 3, 2, 3))]
+
+
+@pytest.mark.parametrize(
+    "field,box", _BUDGET_BOXES,
+    ids=["{}x{}-r{}-d{}".format(*box) if f == (2,) else
+         "GF({})-{}x{}-r{}-d{}".format(make_field(*f).q, *box)
+         for f, box in _BUDGET_BOXES])
+def test_two_workers_give_the_serial_result_at_the_budget(field, box,
                                                           monkeypatch):
     # the budget falls one node before, at and one node after the serial
-    # find, inside the first depth-1 candidate's tree or a later one's
+    # find, inside the first depth-1 candidate's tree or a later one's;
+    # on the GF(4) tree, also inside runs that levels count in bulk
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    nodes = search_constant_rank(gf2, *box).nodes_explored
-    for budget in (nodes - 1, nodes, nodes + 1):
+    F = make_field(*field)
+    nodes = search_constant_rank(F, *box).nodes_explored
+    budgets = {nodes - 1, nodes, nodes + 1}
+    if F.q == 4:
+        budgets |= _budgets_in_bulk_runs(F, box, random.Random(4), 4,
+                                         monkeypatch)
+    for budget in sorted(budgets):
         for count_all in (False, True):
             kwargs = {"budget": budget, "count_all": count_all}
-            serial = search_constant_rank(gf2, *box, **kwargs)
-            multi = search_constant_rank(gf2, *box, workers=2, **kwargs)
+            serial = search_constant_rank(F, *box, **kwargs)
+            multi = search_constant_rank(F, *box, workers=2, **kwargs)
             assert _summary(multi) == _summary(serial), (budget, count_all)
+
+
+# Recorded from the search that entered every sibling with a compatible
+# child: the found counts of the GF(2) 3x4 r2 d4 tree at budgets around
+# its 481st find, at node 190,286.  At node 147,324 a block of siblings
+# counts one in bulk before it enters another, so a bulk count out of its
+# place moves the finds under the later sibling.  Its levels hold up to
+# 1,470 codes, so with the tiny look-ahead their bulk counts are read from
+# many chunks of codes.
+_BULK_ORDER_PINS = [(155006, 480), (190285, 480), (190286, 481),
+                    (400000, 843)]
+
+
+@pytest.mark.parametrize("look_ahead", ["look-ahead", "tiny-look-ahead"])
+def test_bulk_counts_keep_the_finds_in_place(gf2, look_ahead, monkeypatch):
+    if look_ahead == "tiny-look-ahead":
+        monkeypatch.setattr(search_mod, "_LOOK_AHEAD", _TINY_LOOK_AHEAD)
+    witness = search_constant_rank(gf2, 3, 4, 2, 4).witness
+    for budget, found in _BULK_ORDER_PINS:
+        out = search_constant_rank(gf2, 3, 4, 2, 4, budget=budget,
+                                   count_all=True)
+        assert _summary(out) == (SearchStatus.BUDGET_EXCEEDED, witness,
+                                 budget, found), budget
 
 
 def test_two_workers_give_the_serial_count_on_the_census_grid(monkeypatch):
@@ -558,23 +594,102 @@ def test_search_matches_the_naive_reference(field, boxes, path, monkeypatch):
                         (box, count_all, budget, workers)
 
 
-# Exhausted rank-1 trees of dimension 4, whose siblings often have
-# exactly one compatible child: such a sibling is counted with its
-# children and grandchildren without being entered.
-_LONE_CHILD_BOXES = [((2,), 2, 3), ((2,), 3, 3), ((3,), 2, 3), ((2, 2), 2, 3)]
+def _budgets_in_bulk_runs(F, box, rng, k, monkeypatch):
+    """Budgets strictly inside k runs, drawn by rng, of two or more nodes
+    that a level above the last two depths counts in one call in a serial
+    --all search of the box: the siblings it does not enter, with their
+    children and grandchildren, lie in them."""
+    levels, runs = [], []
+    level, count = search_mod._Engine._level, search_mod._Engine._count
+
+    def spy_level(self, depth, *args):
+        levels.append(depth)
+        level(self, depth, *args)
+        levels.pop()
+
+    def spy_count(self, nodes):
+        if levels and levels[-1] + 2 < self.target_dim and nodes > 1:
+            runs.append((self.nodes, self.nodes + int(nodes)))
+        count(self, nodes)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search_mod._Engine, "_level", spy_level)
+        patch.setattr(search_mod._Engine, "_count", spy_count)
+        search_constant_rank(F, *box, count_all=True)
+    assert runs
+    return {rng.randrange(lo + 1, hi)
+            for lo, hi in rng.sample(runs, min(k, len(runs)))}
+
+
+# Boxes whose levels leave siblings with compatible children unentered,
+# to be counted in bulk: the first five have such siblings with two or
+# more compatible children, and the rank-1 trees of dimension 4 many with
+# exactly one.  Those trees exhaust, so only a find is run on them.
+_BULK_BOXES = [((2,), (2, 3, 2, 3)), ((2,), (3, 3, 1, 3)),
+               ((2,), (2, 4, 1, 3)), ((3,), (2, 3, 1, 3)),
+               ((3,), (2, 2, 2, 3)), ((2,), (2, 3, 1, 4)),
+               ((2,), (3, 3, 1, 4)), ((3,), (2, 3, 1, 4)),
+               ((2, 2), (2, 3, 1, 4))]
+
+
+@pytest.mark.parametrize("look_ahead", ["look-ahead", "tiny-look-ahead"])
+@pytest.mark.parametrize(
+    "field,box", _BULK_BOXES,
+    ids=["GF({})-{}x{}-r{}-d{}".format(make_field(*f).q, *box)
+         for f, box in _BULK_BOXES])
+def test_siblings_counted_in_bulk_match_the_naive_reference(
+        field, box, look_ahead, monkeypatch):
+    # at budget 1, at the node count and one either side, at seeded points
+    # inside the tree and inside runs counted in bulk, with one worker and
+    # two
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    if look_ahead == "tiny-look-ahead":
+        monkeypatch.setattr(search_mod, "_LOOK_AHEAD", _TINY_LOOK_AHEAD)
+    F = make_field(*field)
+    R = reference.Field(F.p, F.e, F.modulus)
+    rng = random.Random(f"bulk {F.q} {box} {look_ahead}")
+    # runs of the whole tree: a find stops inside it
+    in_runs = _budgets_in_bulk_runs(F, box, rng, 3, monkeypatch)
+    for count_all in (False, True) if box[3] < 4 else (False,):
+        nodes = reference.search(R, *box, 10 ** 9, count_all)[2]
+        budgets = {1, nodes - 1, nodes, nodes + 1, rng.randint(1, nodes)}
+        for budget in sorted(b for b in budgets | in_runs if b >= 1):
+            expected = reference.search(R, *box, budget, count_all)
+            for workers in (1, 2):
+                out = search_constant_rank(F, *box, budget=budget,
+                                           count_all=count_all,
+                                           workers=workers)
+                assert _outcome(out) == expected, (count_all, budget, workers)
+
+
+# Whole trees that the search_oracle benchmark walks: the node count and
+# the most _level calls.  A sibling is entered only when a compatible
+# child of it has a later compatible child that misses that child's lead;
+# entering every sibling with a compatible child, and counting a lone
+# one's grandchildren in bulk, took 2,335, 2,311, 301 and 529 calls.
+_WORK_PINS = [((2,), (3, 3, 2, 5), False, 160982, 679),
+              ((2,), (3, 3, 2, 4), True, 160022, 679),
+              ((2, 2), (2, 3, 2, 3), True, 253980, 61),
+              ((3,), (2, 3, 2, 4), False, 18600, 25)]
 
 
 @pytest.mark.parametrize(
-    "field,m,n", _LONE_CHILD_BOXES,
-    ids=[f"GF({make_field(*f).q})-{m}x{n}" for f, m, n in _LONE_CHILD_BOXES])
-def test_lone_compatible_children_match_the_naive_reference(field, m, n):
-    F = make_field(*field)
-    R = reference.Field(F.p, F.e, F.modulus)
-    box = (m, n, 1, 4)
-    nodes = reference.search(R, *box, 10 ** 9, False)[2]
-    for budget in (nodes - 1, nodes):
-        out = search_constant_rank(F, *box, budget=budget)
-        assert _outcome(out) == reference.search(R, *box, budget, False)
+    "field,box,count_all,nodes,calls", _WORK_PINS,
+    ids=["GF({})-{}x{}-r{}-d{}".format(make_field(*f).q, *box)
+         + ("-all" if a else "") for f, box, a, *_ in _WORK_PINS])
+def test_levels_entered_are_pinned(field, box, count_all, nodes, calls,
+                                   monkeypatch):
+    entered = []
+    level = search_mod._Engine._level
+
+    def spy(self, *args):
+        entered.append(args[0])
+        level(self, *args)
+
+    monkeypatch.setattr(search_mod._Engine, "_level", spy)
+    out = search_constant_rank(make_field(*field), *box, count_all=count_all)
+    assert out.nodes_explored == nodes
+    assert len(entered) <= calls
 
 
 def test_search_validation(gf2):
