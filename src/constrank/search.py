@@ -16,14 +16,14 @@ integer code, entry (0,0) most significant, so integer order is the
 lexicographic order above and a GF(2) code is the packed bit word.
 Candidates are ranked in numpy blocks, and the test that a candidate
 vanishes at the leading positions is a mask on its support.  When the
-candidates fit in memory (the pool), each depth keeps the compatibility
-of its children, one numpy pass over a block of siblings decides which
-of their children stay compatible and which siblings can hold a find,
-and nodes are counted in bulk.  The pass reads a rank table indexed by
-code when there are at most POOL_CAP codes (in characteristic 2 the sum
-of two codes is then their XOR), and calls rank_batch otherwise.
-Candidates streamed at each depth instead are checked against the span,
-and counted, in chunks that grow.
+candidates fit in memory (the pool), a depth searches the chains that
+one block of the depth above enters together: one numpy pass over a
+block of their (chain, sibling) rows decides which children stay
+compatible and which siblings can hold a find, and nodes are counted in
+bulk.  The pass reads a rank table indexed by code when there are at
+most POOL_CAP codes (in characteristic 2 the sum of two codes is then
+their XOR), and calls rank_batch otherwise.  Candidates streamed at
+each depth instead are ranked, checked and counted in chunks that grow.
 
 brute_force_census counts the constant-rank subspaces of a given
 dimension over ALL reduced-echelon bases: per pivot pattern it keeps the
@@ -132,25 +132,28 @@ class _Engine:
     last element whose support misses the lead of every element in it
     (the pivot mask); each child is a node.
 
-    A pooled search looks ahead.  A depth holds the children of the
-    chain and, for each, whether it is compatible with the span: Z + s
-    has rank r for every s in it.  For a block of compatible siblings Y,
-    one numpy pass finds every Y's children and which of the compatible
-    ones stay compatible once Y enters: Z + t has rank r for every
-    t = c Y + s, c != 0 and s in the span or 0.  The pass reads the rank
-    table (XOR of codes in characteristic 2, digit rows otherwise), or
-    calls rank_batch when there is no table.  A sibling is entered only
-    when a compatible child Y has a later one that misses Y's lead (else
-    no child of it can extend).  Nodes are counted in bulk, by prefix
-    sums over the block: the incompatible siblings, the children and
-    grandchildren of the siblings not entered (Y's children are the
-    codes above Y's lead that miss both leads) and the leaves at the
-    last depth, whose compatible ones are finds.  A budget stops the
-    count at exactly the budget.  In a worker process the shared flag
-    stop (see _run_parallel) stops it at the next count.
+    A pooled search looks ahead, a batch of chains at a time (the
+    siblings one block of the depth above entered; the top is one chain).
+    Their children share an axis of codes, flagged as each chain's and
+    as compatible with its span: Z + s has rank r for every s in it.
+    For a block of rows, compatible siblings Y of the chains, one numpy
+    pass finds every Y's children and which compatible ones stay so once
+    Y enters: Z + t has rank r for every t = c Y + s, c != 0 and s in the
+    chain's span or 0.  It reads the rank table (XOR of codes in
+    characteristic 2, digit rows otherwise), or calls rank_batch.  A
+    sibling is entered only when a compatible child Y has a later one
+    that misses Y's lead (else no child of it can extend); the rows a
+    block enters are the next batch.  Nodes are counted in bulk, in
+    depth-first order, by prefix sums: the parent's nodes before each
+    chain, the incompatible siblings, the children and grandchildren of
+    the siblings not entered (Y's children are the chain's codes above
+    Y's lead that miss both leads) and the leaves at the last depth,
+    whose compatible ones are finds.  A budget stops the count exactly at
+    it, and in a worker the shared flag stop (see _run_parallel) stops it
+    at the next count.
 
-    The stream has no rank table.  It checks a chain's children from
-    _blocks in growing chunks, one rank_batch call each, counted in bulk.
+    The stream has no rank table.  It ranks and checks a chain's
+    children in growing chunks, by rank_batch, and counts them in bulk.
     """
 
     stop = None
@@ -183,8 +186,8 @@ class _Engine:
         self.low_len = low_len
         self.codes = self.supports = self.leads = None
         if (q ** mn - 1) // (q - 1) <= POOL_CAP:
-            blocks = [(base + t, head | supp)
-                      for base, head, t, supp, _ in self._blocks(0, 0)]
+            blocks = [(base + t, head | supp) for base, head, t, supp, _
+                      in self._blocks(0, 0, q ** low_len)]
             self.codes = np.concatenate([c for c, _ in blocks])
             self.supports = np.concatenate([s for _, s in blocks])
             # supports are below 2^mn <= 2^22, exact as floats
@@ -192,11 +195,12 @@ class _Engine:
 
     # -- candidates ----------------------------------------------------------
 
-    def _blocks(self, after: int, mask: int):
+    def _blocks(self, after: int, mask: int, chunk: int = 16):
         """The rank-r projective codes above after whose support misses
         mask, ascending, in blocks (base, head, offsets, supports, rows):
         the codes are base + offsets, their supports head | supports and,
-        when there is no rank table, their digit rows rows (else None)."""
+        when there is no rank table, their digit rows rows (else None).
+        Codes are ranked in chunks that double from chunk up to a block."""
         q, mn, low_len = self.q, self.mn, self.low_len
         size = q ** low_len
         high_len = mn - low_len
@@ -219,17 +223,21 @@ class _Engine:
             if after >= base:
                 rows = rows[rows > after - base]
             rows = rows[(low_supp[rows] & low_mask) == 0]
-            if self.table is not None:
-                block = None
-                ranks = self.table[base + rows]
-            else:
-                block = np.empty((len(rows), mn), dtype=np.int32)
-                block[:, :high_len] = head_digits
-                block[:, high_len:] = digits[rows]
-                ranks = rank_batch(self.field, block.reshape(-1, self.m, self.n))
-            keep = ranks == self.r
-            yield (base, head, rows[keep], low_supp[rows[keep]],
-                   None if block is None else block[keep])
+            while len(rows):
+                part, rows = rows[:chunk], rows[chunk:]
+                chunk = min(2 * chunk, size)
+                if self.table is not None:
+                    block = None
+                    ranks = self.table[base + part]
+                else:
+                    block = np.empty((len(part), mn), dtype=np.int32)
+                    block[:, :high_len] = head_digits
+                    block[:, high_len:] = digits[part]
+                    ranks = rank_batch(self.field,
+                                       block.reshape(-1, self.m, self.n))
+                keep = ranks == self.r
+                yield (base, head, part[keep], low_supp[part[keep]],
+                       None if block is None else block[keep])
 
     # -- traversal -----------------------------------------------------------
 
@@ -249,11 +257,13 @@ class _Engine:
                 self._leaves(hi - lo, np.arange(1, hi - lo + 1),
                              [int(self.codes[lo])])
             else:
-                zero = (np.zeros(1, dtype=np.int64) if self.xor
-                        else np.zeros((1, self.mn), dtype=np.int32))
-                codes = self.codes[lo:]
-                self._level(0, codes, self.supports[lo:], self.leads[lo:],
-                            np.ones(len(codes), dtype=bool), zero, hi - lo)
+                zero = (np.zeros((1, 1), dtype=np.int64) if self.xor
+                        else np.zeros((1, 1, self.mn), dtype=np.int32))
+                every = np.ones((1, len(self.codes) - lo), dtype=bool)
+                none = np.zeros((1, 0), dtype=np.int64)   # the empty chain
+                self._level(0, self.codes[lo:], self.supports[lo:],
+                            self.leads[lo:], every, every, zero, none,
+                            none.sum(1), none.sum(1), hi - lo)
         except _FoundEarly:
             pass
         except _BudgetHit:
@@ -268,15 +278,15 @@ class _Engine:
             raise _BudgetHit
         self.nodes += int(nodes)
 
-    def _leaves(self, nodes, finds, ends) -> None:
+    def _leaves(self, nodes, finds, witness) -> None:
         """Count nodes that end at the last depth.  The ascending 1-based
-        offsets finds are those of the finds; the first of them ends the
-        chain with the codes ends, and stops the search without count_all."""
+        offsets finds are those of the finds; the first of them is the
+        chain witness, and stops the search without count_all."""
         k = int(finds.searchsorted(self.budget - self.nodes, "right"))
         if k:
             at = (self.nodes + finds[:k if self.count_all else 1]).tolist()
             if self.witness is None:
-                self.witness = self.chain + ends
+                self.witness = witness
             self.found_count += len(at)
             if self.found_at is not None:
                 self.found_at.extend(at)
@@ -285,119 +295,140 @@ class _Engine:
                 raise _FoundEarly
         self._count(nodes)
 
-    def _level(self, depth, codes, supports, leads, ok, span, stop) -> None:
-        """Count the children codes[:stop] of the chain, whose span is
-        span (0 included), and search below those flagged ok, the ones
-        compatible with it.  Later codes are candidates for children."""
-        leaf = depth + 2 == self.target_dim
-        width = (self.q - 1) * len(span)   # elements a sibling adds
-        sibs = ok[:stop].nonzero()[0]
-        pos = i = 0   # the children before pos are counted
+    def _level(self, depth, codes, supports, leads, kid, ok, spans, chains,
+               pivots, ahead, stop) -> None:
+        """Count the children of a batch of chains, chain i after ahead[i]
+        nodes of the parent, and search below the compatible ones.  Chain i
+        has codes chains[i] (leads pivots[i]), span spans[:, i] (0 first)
+        and children codes[:stop] flagged kid[i], ok[i] if compatible with
+        it; later codes flagged kid[i] are candidates for their children."""
+        leaf, n = depth + 2 == self.target_dim, len(codes)
+        width = (self.q - 1) * len(spans)   # elements a sibling adds
+        # rows: (chain, compatible child), flat in ok[:, :stop]; skip: others
+        rows = ok[:, :stop].ravel().nonzero()[0]
+        skip = (kid[:, :stop] > ok[:, :stop]).ravel().nonzero()[0]
+        i = done = free_before = 0   # rows done; nodes counted; their children
         pairs = None
         # blocks grow from a sixteenth of the cap, so that a find under an
         # early sibling costs little work on the later ones
         limit = _LOOK_AHEAD >> 4
-        while i < len(sibs):
-            first = int(sibs[i])
-            rest = first + 1
-            block = sibs[i:i + max(1, limit // max(1, len(codes) - rest))]
-            # kids[b, j]: code rest + j is a child of sibling block[b]
-            kids = (((supports[rest:] & leads[block, None]) == 0)
-                    & (codes[rest:] > codes[block, None]))
-            zs = (kids.any(axis=0) & ok[rest:]).nonzero()[0]
-            size = max(1, limit // max(1, width * len(zs)))
+        while i < len(rows):
+            # a block reads the codes after its least sibling
+            block = rows[i:i + max(1, limit // max(1, n - 1 - rows[i] % stop))]
+            chain, sib = np.divmod(block, stop)
+            rest = int(sib[0]) + 1
+            if len(kid) > 1 and chain[-1] != chain[0]:
+                size = ((n - 1 - np.minimum.accumulate(sib)) * np.arange(
+                    1, len(block) + 1)).searchsorted(limit, "right") or 1
+                block, chain, sib = (a[:size] for a in (block, chain, sib))
+                rest = int(sib.min()) + 1
+            # kids[b, j]: code rest + j is a child of row b (above it, missing
+            # its chain's leads and its own); (bs, js): those compatible
+            kids = (((supports[rest:] & (pivots[chain] | leads[sib])[:, None])
+                     == 0) & (codes[rest:] > codes[sib, None]))
+            bs, js = np.divmod((kids & ok[chain, rest:]).ravel().nonzero()[0],
+                               len(kids[0]))
+            if limit // width < len(bs):   # at most limit sums
+                size = max(1, int(bs[limit // width]))
+                block, chain, sib, kids = (a[:size] for a in (block, chain,
+                                                              sib, kids))
+                bs, js = bs[:bs.searchsorted(size)], js[:bs.searchsorted(size)]
             limit = min(2 * limit, _LOOK_AHEAD)
-            if size < len(block):
-                block, kids = block[:size], kids[:size]
-                zs = (kids.any(axis=0) & ok[rest:]).nonzero()[0]
-            i += len(block)
             free = kids.sum(axis=1)
-            if len(zs):
-                good, cosets = self._look_ahead(codes[block], codes[zs + rest],
-                                                span)
-                good &= kids[:, zs]
-            if not len(zs) or not good.any():
-                # no sibling of the block has a compatible child
-                self._count(block[-1] - pos + 1 + free.sum())
-                pos = int(block[-1]) + 1
-                continue
-            # the node count from pos at each sibling, after the children
-            # of the siblings before it
-            at = block - pos + 1 + free.cumsum() - free
-            pos = int(block[-1]) + 1
-            if leaf:
-                bs, js = good.nonzero()
-                finds = at[bs] + kids.cumsum(axis=1)[bs, zs[js]]
-                ends = [int(codes[block[bs[0]]]), int(codes[zs[js[0]] + rest])]
-                self._leaves(at[-1] + free[-1], finds, ends)
-                continue
-            # enter: a compatible child y has a later one that misses y's lead
-            seen = np.bitwise_or.accumulate(good * leads[zs + rest], axis=1)
-            enter = (good[:, 1:] & (seen[:, :-1] & ~supports[zs[1:] + rest]
-                                    != 0)).any(axis=1)
-            dead = good & ~enter[:, None]
-            done = 0   # the nodes of this block counted so far
-            for b in enter.nonzero()[0].tolist() + [len(block)]:
-                if dead[:b].any():
-                    # bulk grandchildren: y's children are the codes that miss
-                    # the sibling's bit a and y's bit p < lead, pairs[a, p]
-                    if pairs is None:   # once per level, in bounded chunks
-                        pairs, bits = 0, np.frexp(leads)[1] - 1
+            # the node count at each row, after the earlier rows' children
+            at = (ahead[chain] + skip.searchsorted(block) + free.cumsum() - free
+                  + np.arange(1, len(block) + 1) + (i + free_before))
+            i += len(block)
+            if len(bs):
+                good, elements = self._look_ahead(codes[sib], spans[:, chain],
+                                                  bs, codes[rest:][js])
+                bs, js = bs[good], js[good]
+            if len(bs) and not leaf:
+                # enter: a compatible child y has one that misses y's lead
+                # among the later ones, that is those with a higher lead
+                ys = leads[rest:][js]
+                heads = np.zeros(len(block), dtype=ys.dtype)
+                np.bitwise_or.at(heads, bs, ys)
+                enter = np.zeros(len(block), dtype=bool)
+                enter[bs[heads[bs] & (ys - 1) & ~supports[rest:][js] != 0]] = True
+                dead = ~enter[bs]
+                if dead.any():
+                    # bulk grandchildren: y's children are the chain's codes
+                    # that miss the sibling's bit a and y's bit p < lead,
+                    # pairs[chain, a, p], in chunks of codes x chains
+                    if pairs is None:   # once per level
+                        bits = np.frexp(leads)[1] - 1
                         below = (~supports & leads - 1).astype('<u4')[:, None]
-                        for lo in range(0, len(codes), _LOOK_AHEAD):
-                            miss = np.unpackbits(
-                                below[lo:lo + _LOOK_AHEAD].view(np.uint8), 1,
-                                self.mn, 'little').astype(np.float32)
-                            pairs = pairs + (miss.T @ miss).astype(int)
-                    extra = (pairs[bits[block, None], bits[zs + rest]]
-                             * dead).sum(axis=1)
+                        pairs, step = 0, max(1, _LOOK_AHEAD // (8 * len(kid)))
+                        for lo in range(0, n, step):
+                            miss = np.unpackbits(below[lo:lo + step].view(
+                                np.uint8), 1, self.mn, 'little').astype('f4')
+                            pairs = pairs + ((kid[:, lo:lo + step, None] * miss)
+                                             .transpose(0, 2, 1) @ miss).astype(int)
+                    d = bs[dead]
+                    extra = np.bincount(d, pairs[chain[d], bits[sib[d]], bits[
+                        rest:][js[dead]]], len(block)).astype(np.int64)
                     free += extra
                     at += extra.cumsum() - extra
-                    dead[:] = False
-                if b == len(block):
-                    break
-                self._count(at[b] - done)
-                done = at[b] + free[b]
-                child = kids[b].nonzero()[0] + rest
-                child_ok = np.zeros(len(codes), dtype=bool)
-                child_ok[zs[good[b]] + rest] = True
-                self.chain.append(int(codes[block[b]]))
-                self._level(depth + 1, codes[child], supports[child],
-                            leads[child], child_ok[child],
-                            np.concatenate((span, cosets[b])), len(child))
-                self.chain.pop()
-            self._count(at[-1] + free[-1] - done)
-        self._count(stop - pos)
+                es = enter.nonzero()[0]
+                if len(es):
+                    # the rows entered, in order, are the next batch
+                    ce, se, fe, kids = chain[es], sib[es], free[es], kids[es]
+                    ends = at[es] + fe
+                    child = kids.any(axis=0).nonzero()[0]
+                    child_ok = np.zeros((len(block), len(kids[0])), dtype=bool)
+                    child_ok[bs, js] = True
+                    self._level(
+                        depth + 1, codes[rest:][child], supports[rest:][child],
+                        leads[rest:][child], kids[:, child],
+                        child_ok[es][:, child],
+                        np.concatenate((spans[:, ce], elements[:, es])),
+                        np.concatenate((chains[ce], codes[se, None]), 1),
+                        pivots[ce] | leads[se], ends - fe.cumsum() - done,
+                        len(child))
+                    done = ends[-1]
+            if len(bs) and leaf:   # the rest of the block, with its finds
+                self._leaves(at[-1] + free[-1] - done,
+                             at[bs] + kids.cumsum(axis=1)[bs, js] - done,
+                             self.witness or chains[chain[bs[0]]].tolist() + [
+                                 int(codes[sib[bs[0]]]), int(codes[rest + js[0]])])
+            else:
+                self._count(at[-1] + free[-1] - done)
+            done = int(at[-1] + free[-1])
+            free_before += int(free.sum())
+        self._count(ahead[-1] + len(rows) + len(skip) + free_before - done)
 
-    def _look_ahead(self, ys, zs, span):
-        """(good, cosets): cosets[b] holds c ys[b] + s for c != 0 and s
-        in span, what ys[b] adds to the span, and good[b, j] says whether
-        zs[j] + t has rank r for every t in cosets[b]."""
+    def _look_ahead(self, ys, spans, bs, zs):
+        """(good, elements): elements[:, b] holds c ys[b] + s for c != 0
+        and s in spans[:, b], what ys[b] adds to its span, and good[t]
+        says whether zs[t] + x has rank r for every x in elements[:, bs[t]]."""
         if self.xor:
-            multiples = (ys[:, None] if self.q == 2 else self._multiples(
+            multiples = (ys[None] if self.q == 2 else self._multiples(
                 _code_digits(ys, self.q, self.mn)) @ self.weights)
-            cosets = (multiples[:, :, None] ^ span).reshape(len(ys), -1)
+            elements = (multiples[:, None] ^ spans).reshape(-1, len(ys))
         else:
-            cosets = self._coset(_code_digits(ys, self.q, self.mn), span)
-        # at most _LOOK_AHEAD sums at a time
-        step = max(1, _LOOK_AHEAD // (len(ys) * cosets.shape[1]))
-        good = [self._compatible(cosets, zs[a:a + step] if self.xor else
-                                 _code_digits(zs[a:a + step], self.q, self.mn))
+            elements = self._coset(_code_digits(ys, self.q, self.mn), spans)
+            zs = _code_digits(zs, self.q, self.mn)
+        # at most _LOOK_AHEAD sums at a time; one sibling's elements broadcast
+        step = max(1, _LOOK_AHEAD // len(elements))
+        good = [self._compatible(elements if len(ys) == 1 else np.take(
+            elements, bs[a:a + step], axis=1), zs[a:a + step])
                 for a in range(0, len(zs), step)]
-        return good[0] if len(good) == 1 else np.concatenate(good, 1), cosets
+        return good[0] if len(good) == 1 else np.concatenate(good), elements
 
-    def _compatible(self, cosets, zs):
-        """good[b, j]: zs[j] + t has rank r for every t in cosets[b]."""
+    def _compatible(self, elements, zs):
+        """good[t]: zs[t] + x has rank r for all x in elements[:, t] (or
+        elements[:, 0], if that axis has length 1)."""
         if self.xor:
-            ranks = self.table[cosets[:, :, None] ^ zs]
+            ranks = self.table[elements ^ zs]
         else:
-            sums = self.field.arrays.add(cosets[:, :, None], zs)
+            sums = self.field.arrays.add(elements, zs)
             if self.table is not None:
                 ranks = self.table[sums @ self.weights]
             else:
                 ranks = rank_batch(self.field, sums.reshape(-1, self.m, self.n)
-                                   ).reshape(sums.shape[:3])
-        return (ranks == self.r).all(axis=1)
+                                   ).reshape(sums.shape[:2])
+        return (ranks == self.r).all(axis=0)
 
     def _stream(self, depth, after, span, mask) -> None:
         """Count the children of the chain whose span is span (0 first),
@@ -410,10 +441,10 @@ class _Engine:
             while lo < len(hit):
                 hi = lo + max(16, min(lo, _LOOK_AHEAD // len(span)))
                 good = (np.ones(len(hit[lo:hi]), dtype=bool) if not depth else
-                        self._compatible(span[None, 1:], rows[lo:hi])[0])
+                        self._compatible(span[1:, None], rows[lo:hi]))
                 if depth + 1 == self.target_dim:
-                    self._leaves(len(good), good.nonzero()[0] + 1,
-                                 [base + int(t) for t in hit[lo:hi][good][:1]])
+                    self._leaves(len(good), good.nonzero()[0] + 1, self.chain
+                                 + [base + int(t) for t in hit[lo:hi][good][:1]])
                     pos = lo = lo + len(good)
                     continue
                 for i in (good.nonzero()[0] + lo).tolist():
@@ -428,17 +459,16 @@ class _Engine:
             self._count(len(hit) - pos)
 
     def _multiples(self, digits: np.ndarray) -> np.ndarray:
-        """Digit rows of c X for c = 1, ..., q-1, for each digit row X of
-        digits (shape (..., mn)), on a new next-to-last axis."""
-        return self.field.arrays.mul(self.scalars[:, None],
-                                     digits[..., None, :])
+        """Digit rows of c X for c = 1, ..., q-1, on a new first axis, for
+        each digit row X of digits (shape (..., mn))."""
+        return self.field.arrays.mul(self.scalars.reshape(-1, *[1] * digits.ndim),
+                                     digits)
 
     def _coset(self, digits: np.ndarray, span: np.ndarray) -> np.ndarray:
-        """Digit rows of c X + s for c != 0 and s in span, for each digit
-        row X of digits, on a new next-to-last axis."""
-        sums = self.field.arrays.add(self._multiples(digits)[..., None, :],
-                                     span)
-        return sums.reshape(*digits.shape[:-1], -1, self.mn)
+        """Digit rows of c X + s for c != 0 and s in span (elements on the
+        first axis), on a new first axis, for each digit row X of digits."""
+        sums = self.field.arrays.add(self._multiples(digits)[:, None], span)
+        return sums.reshape(-1, *digits.shape)
 
 
 @lru_cache(maxsize=32)

@@ -19,6 +19,7 @@ import random
 import sys
 import time
 import tracemalloc
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -425,6 +426,23 @@ def test_stream_handles_codes_wider_than_64_bits(gf2):
     assert rows == [(0,) * 63 + (1,), (0,) * 62 + (1, 0)]
 
 
+def test_stream_ranks_few_candidates_before_an_early_find(gf2, monkeypatch):
+    # candidates are ranked in chunks that double from 16, so the two-node
+    # find ranks 16 candidates per depth and checks one chunk of 16; ranking
+    # whole blocks of 4,096 codes took 6,158 matrices
+    sizes = []
+    rank_batch = search_mod.rank_batch
+
+    def spy(field, matrices):
+        sizes.append(len(matrices))
+        return rank_batch(field, matrices)
+
+    monkeypatch.setattr(search_mod, "rank_batch", spy)
+    out = search_constant_rank(gf2, 8, 8, 1, 2)
+    assert out.nodes_explored == 2
+    assert sizes == [16, 16, 16]
+
+
 # Recorded from the search before every field went through one engine on
 # base-q codes, when fields other than GF(2) used a separate engine on
 # entry tuples: (field, m, n, r, dim, count_all, budget) -> status, nodes,
@@ -594,21 +612,24 @@ def test_search_matches_the_naive_reference(field, boxes, path, monkeypatch):
                         (box, count_all, budget, workers)
 
 
-def _budgets_in_bulk_runs(F, box, rng, k, monkeypatch):
+def _budgets_in_bulk_runs(F, box, rng, k, monkeypatch, batched=False):
     """Budgets strictly inside k runs, drawn by rng, of two or more nodes
-    that a level above the last two depths counts in one call in a serial
-    --all search of the box: the siblings it does not enter, with their
-    children and grandchildren, lie in them."""
+    that one _count call counts in a serial --all search of the box: runs
+    of a level above the last two depths, where the siblings it does not
+    enter lie with their children and grandchildren, or with batched
+    those of a level whose batch holds two or more chains, where a run
+    can end in one chain and go on in the next."""
     levels, runs = [], []
     level, count = search_mod._Engine._level, search_mod._Engine._count
 
-    def spy_level(self, depth, *args):
-        levels.append(depth)
-        level(self, depth, *args)
+    def spy_level(self, depth, codes, supports, leads, kid, *args):
+        levels.append(len(kid) > 1 if batched
+                      else depth + 2 < self.target_dim)
+        level(self, depth, codes, supports, leads, kid, *args)
         levels.pop()
 
     def spy_count(self, nodes):
-        if levels and levels[-1] + 2 < self.target_dim and nodes > 1:
+        if levels and levels[-1] and nodes > 1:
             runs.append((self.nodes, self.nodes + int(nodes)))
         count(self, nodes)
 
@@ -662,15 +683,53 @@ def test_siblings_counted_in_bulk_match_the_naive_reference(
                 assert _outcome(out) == expected, (count_all, budget, workers)
 
 
+# Boxes whose levels take batches of two or more chains: the siblings
+# that one block of a level enters are searched together.  Most of their
+# finds lie under the second or a later chain of a batch (19,872 of
+# 22,560 in the first box); the first find of each lies under the first.
+_BATCH_BOXES = [((2,), (2, 4, 2, 3)), ((2,), (3, 3, 1, 3)),
+                ((3,), (2, 3, 2, 3)), ((2, 2), (2, 3, 1, 3))]
+
+
+@pytest.mark.parametrize(
+    "field,box", _BATCH_BOXES,
+    ids=["GF({})-{}x{}-r{}-d{}".format(make_field(*f).q, *box)
+         for f, box in _BATCH_BOXES])
+def test_batched_levels_match_the_naive_reference(field, box, monkeypatch):
+    # at budgets strictly inside runs that a batched level counts in one
+    # call, and at and one node before seeded finds of the --all search,
+    # which the nodes counted before each chain of a batch put in place;
+    # with and without count_all, with one worker and two
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    F = make_field(*field)
+    R = reference.Field(F.p, F.e, F.modulus)
+    rng = random.Random(f"batch {F.q} {box}")
+    found_at = array("q")
+    engine = search_mod._Engine(F, *box, 10 ** 9, True)
+    engine.run(0, len(engine.codes), found_at)
+    budgets = _budgets_in_bulk_runs(F, box, rng, 4, monkeypatch, batched=True)
+    for at in rng.sample(list(found_at), min(4, len(found_at))):
+        budgets |= {at - 1, at}
+    for budget in sorted(budgets):
+        for count_all in (False, True):
+            expected = reference.search(R, *box, budget, count_all)
+            for workers in (1, 2):
+                out = search_constant_rank(F, *box, budget=budget,
+                                           count_all=count_all,
+                                           workers=workers)
+                assert _outcome(out) == expected, (count_all, budget, workers)
+
+
 # Whole trees that the search_oracle benchmark walks: the node count and
 # the most _level calls.  A sibling is entered only when a compatible
-# child of it has a later compatible child that misses that child's lead;
-# entering every sibling with a compatible child, and counting a lone
-# one's grandchildren in bulk, took 2,335, 2,311, 301 and 529 calls.
-_WORK_PINS = [((2,), (3, 3, 2, 5), False, 160982, 679),
-              ((2,), (3, 3, 2, 4), True, 160022, 679),
-              ((2, 2), (2, 3, 2, 3), True, 253980, 61),
-              ((3,), (2, 3, 2, 4), False, 18600, 25)]
+# child of it has a later compatible child that misses that child's lead,
+# and the siblings one block of a level enters are searched in one call;
+# a call per entered sibling took 679, 679, 61 and 25 calls, and entering
+# every sibling with a compatible child 2,335, 2,311, 301 and 529.
+_WORK_PINS = [((2,), (3, 3, 2, 5), False, 160982, 51),
+              ((2,), (3, 3, 2, 4), True, 160022, 51),
+              ((2, 2), (2, 3, 2, 3), True, 253980, 9),
+              ((3,), (2, 3, 2, 4), False, 18600, 5)]
 
 
 @pytest.mark.parametrize(
@@ -682,14 +741,37 @@ def test_levels_entered_are_pinned(field, box, count_all, nodes, calls,
     entered = []
     level = search_mod._Engine._level
 
-    def spy(self, *args):
-        entered.append(args[0])
-        level(self, *args)
+    def spy(self, depth, *args):
+        entered.append(depth)
+        level(self, depth, *args)
 
     monkeypatch.setattr(search_mod._Engine, "_level", spy)
     out = search_constant_rank(make_field(*field), *box, count_all=count_all)
     assert out.nodes_explored == nodes
     assert len(entered) <= calls
+
+
+# GF(2) boxes of the search_oracle benchmark and a large pool, with their
+# budgets and the tracemalloc peaks (MB) of a search before levels took
+# batches of chains; a batch must not cost more memory than its chains
+# searched one at a time.
+_MEMORY_PINS = [((4, 4, 2, 5), 2 * 10 ** 6, 0.95),
+                ((4, 5, 3, 3), 2 * 10 ** 5, 24.2)]
+
+
+@pytest.mark.parametrize(
+    "box,budget,peak_mb", _MEMORY_PINS,
+    ids=["{}x{}-r{}-d{}".format(*box) for box, *_ in _MEMORY_PINS])
+def test_search_memory_is_pinned(gf2, box, budget, peak_mb):
+    # the first search builds the rank table, which outlives it
+    search_constant_rank(gf2, *box, budget=budget)
+    tracemalloc.start()
+    try:
+        search_constant_rank(gf2, *box, budget=budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * peak_mb * 2 ** 20
 
 
 def test_search_validation(gf2):
