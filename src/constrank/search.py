@@ -24,6 +24,9 @@ bulk.  The pass reads a rank table indexed by code when there are at
 most POOL_CAP codes (in characteristic 2 the sum of two codes is then
 their XOR), and calls rank_batch otherwise.  Candidates streamed at
 each depth instead are ranked, checked and counted in chunks that grow.
+With several workers the main process searches first, and hands the
+depth-1 candidates it has not reached to worker processes only when the
+search would run past _HAND_OFF seconds.
 
 brute_force_census counts the constant-rank subspaces of a given
 dimension over ALL reduced-echelon bases: per pivot pattern it keeps the
@@ -103,6 +106,10 @@ class _BudgetHit(Exception):
     pass
 
 
+class _HandOff(Exception):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # the depth-first engine
 # ---------------------------------------------------------------------------
@@ -114,6 +121,9 @@ _BLOCK = 4096
 # they add to the span x later compatible candidates); at least one
 # sibling always goes in.
 _LOOK_AHEAD = 1 << 14
+# Worker processes cost more to start than most searches that end within
+# this many seconds take; the main process searches those alone.
+_HAND_OFF = 0.15
 
 
 class _Engine:
@@ -156,7 +166,7 @@ class _Engine:
     children in growing chunks, by rank_batch, and counts them in bulk.
     """
 
-    stop = None
+    stop = deadline = None
 
     def __init__(self, field, m, n, r, target_dim, budget, count_all):
         q = field.q
@@ -245,11 +255,16 @@ class _Engine:
         """Search afresh from the depth-1 candidates codes[lo:hi] (every
         candidate when streaming): (nodes, found count, codes of the first
         witness or None, whether the budget stopped the search).  found_at,
-        if given, receives the node count at each find."""
+        if given, receives the node count at each find.  Once another
+        block of depth-1 candidates would end past deadline, if set, a
+        pooled search stops and sets resume to the first one not searched;
+        the counts returned are then those of the candidates before it."""
         self.found_at = found_at
         self.nodes = self.found_count = 0
         self.witness: list[int] | None = None
         self.chain: list[int] = []
+        self.resume = None
+        self.block_start = time.perf_counter()
         try:
             if self.codes is None:
                 self._stream(0, 0, np.zeros((1, self.mn), dtype=np.int32), 0)
@@ -266,6 +281,8 @@ class _Engine:
                             none.sum(1), none.sum(1), hi - lo)
         except _FoundEarly:
             pass
+        except _HandOff as e:
+            self.resume = lo + e.args[0]
         except _BudgetHit:
             return self.nodes, self.found_count, self.witness, True
         return self.nodes, self.found_count, self.witness, False
@@ -396,7 +413,19 @@ class _Engine:
                 self._count(at[-1] + free[-1] - done)
             done = int(at[-1] + free[-1])
             free_before += int(free.sum())
+            # at the top, rows are depth-1 candidates, the first i counted
+            if not depth and i < len(rows) and self._past_deadline():
+                raise _HandOff(i)
         self._count(ahead[-1] + len(rows) + len(skip) + free_before - done)
+
+    def _past_deadline(self) -> bool:
+        """Whether deadline is set and one more block of depth-1
+        candidates, as long as the last, would end past it (blocks grow)."""
+        if self.deadline is None:
+            return False
+        now, last = time.perf_counter(), self.block_start
+        self.block_start = now
+        return 2 * now - last >= self.deadline
 
     def _look_ahead(self, ys, spans, bs, zs):
         """(good, elements): elements[:, b] holds c ys[b] + s for c != 0
@@ -507,13 +536,15 @@ def search_constant_rank(F: FieldSpec, m: int, n: int, r: int,
 
     With count_all the whole canonical tree is traversed and found_count
     reports the exact number of such subspaces (the witness returned is
-    still the first in canonical order).  Several workers (at most one
-    per core and per depth-1 candidate) run the serial engine on batches
-    of depth-1 candidates handed out in index order, each under the whole
-    budget, and their records merge into the serial result: the outcome
-    does not depend on the worker count.  When the scalar-class count of
-    the ambient space exceeds the pool cap, candidates are streamed
-    instead of pooled and the search runs in one process.
+    still the first in canonical order).  With several workers the main
+    process searches first; if the search would run past _HAND_OFF
+    seconds, workers (at most one per core and per depth-1 candidate)
+    run the serial engine on batches of the depth-1 candidates it has not
+    reached, handed out in index order, each under the whole budget, and
+    their records merge into the serial result: the outcome does not
+    depend on the worker count.  When the scalar-class count of the
+    ambient space exceeds the pool cap, candidates are streamed instead
+    of pooled and the search runs in one process.
     """
     if not 1 <= r <= m <= n:
         raise ShapeViolation(f"need 1 <= r <= m <= n, got r={r}, m={m}, n={n}")
@@ -564,19 +595,24 @@ def _worker_count(requested: int, pool_len: int) -> int:
 
 
 def _run_parallel(engine, pool_len, workers):
-    """engine.run(0, pool_len), from worker processes that run copies of
-    the engine on batches of consecutive depth-1 candidates.  The serial
+    """engine.run(0, pool_len), searched in this process until it is
+    decided or would run past _HAND_OFF seconds, then from worker
+    processes that run copies of the engine on batches of consecutive
+    depth-1 candidates, from the first one not searched here.  The serial
     budget point lies in the first batch that overruns the rest of the
     budget, and the node counts of that batch's finds tell which of them
     come before it."""
     from concurrent.futures import ProcessPoolExecutor
 
-    nodes = found_count = 0
-    witness = None
-    batches, lo = [], 0
+    engine.deadline = time.perf_counter() + _HAND_OFF
+    nodes, found_count, witness, hit = engine.run(0, pool_len)
+    engine.deadline = None   # a worker's copy searches its batch to the end
+    if engine.resume is None:
+        return nodes, found_count, witness, hit
+    batches, lo = [], engine.resume
     while lo < pool_len:
-        # single candidates first, then ranges that grow with their start:
-        # a later candidate has fewer successors in the canonical order
+        # ranges that grow with their start: a later candidate has fewer
+        # successors in the canonical order
         batches.append((lo, min(pool_len, lo + 1 + lo // (8 * workers))))
         lo = batches[-1][1]
     # once the deciding batch is in, the batches not yet started are

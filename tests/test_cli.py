@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import constrank.cli as cli_mod
+import constrank.search as search_mod
 from constrank import (
     InternalVerificationFailed,
     MatGF,
@@ -363,8 +364,11 @@ def test_search_all_counts_everything(capsys):
 ], ids=["find", "all", "budget-at-find", "budget-before-find", "all-budget"])
 def test_search_output_does_not_depend_on_workers(extra, code, capsys,
                                                   monkeypatch):
-    # 187 nodes is where the serial search finds its witness
+    # 187 nodes is where the serial search finds its witness; the main
+    # process hands the search to the workers after its first block of
+    # depth-1 candidates, so that they run on the --all tree
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search_mod, "_HAND_OFF", 0)
     argv = ["search", "--field", "GF(2)", "--shape", "3x3", "--rank", "2",
             "--dim", "4", *extra]
     runs = []

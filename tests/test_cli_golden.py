@@ -19,6 +19,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import constrank.search as search_mod
 from constrank.cli import main
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -106,6 +107,9 @@ def test_report_bytes_match_the_golden(index, goldens, tmp_path, monkeypatch):
     monkeypatch.chdir(_HERE)
     monkeypatch.setenv("COLUMNS", _COLUMNS)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # workers run wherever the search has more than one block of depth-1
+    # candidates, as on the --all tree
+    monkeypatch.setattr(search_mod, "_HAND_OFF", 0)
     golden = goldens[index]
     assert run_case(golden["argv"], str(tmp_path / "out.txt")) == golden
 

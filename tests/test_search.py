@@ -155,6 +155,14 @@ def test_found_with_count_all_reports_budget_state(gf2):
     assert out.found_count >= 1
 
 
+def _hand_off_at_once(monkeypatch):
+    """Two cores, and a main process that hands the search to the workers
+    after its first block of depth-1 candidates, so that they run on every
+    tree with more than one such block."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search_mod, "_HAND_OFF", 0)
+
+
 def test_workers_do_not_change_the_answer(gf2, gf3):
     base = search_constant_rank(gf2, 3, 3, 2, 4)
     multi = search_constant_rank(gf2, 3, 3, 2, 4, workers=2)
@@ -170,8 +178,9 @@ def test_workers_do_not_change_the_answer(gf2, gf3):
 
 def test_parallel_find_stops_the_chunks_after_it(gf2):
     # the witness lies under the first depth-1 candidate; the second
-    # candidate's tree takes minutes, so this only returns in time if the
-    # worker running it is stopped
+    # candidate's tree takes minutes, so this only returns in time if no
+    # process searches it to the end: the main process finds the witness
+    # in its first block of depth-1 candidates and starts no worker
     base = search_constant_rank(gf2, 4, 4, 3, 5)
     t0 = time.perf_counter()
     multi = search_constant_rank(gf2, 4, 4, 3, 5, workers=2)
@@ -188,19 +197,18 @@ def _summary(out):
 _BUDGET_BOXES = [((2,), (3, 3, 2, 4)), ((2,), (3, 4, 2, 4)),
                  ((2,), (4, 4, 2, 4)), ((2,), (4, 4, 3, 4)),
                  ((2, 2), (2, 3, 2, 3))]
+_BUDGET_IDS = ["{}x{}-r{}-d{}".format(*box) if f == (2,) else
+               "GF({})-{}x{}-r{}-d{}".format(make_field(*f).q, *box)
+               for f, box in _BUDGET_BOXES]
 
 
-@pytest.mark.parametrize(
-    "field,box", _BUDGET_BOXES,
-    ids=["{}x{}-r{}-d{}".format(*box) if f == (2,) else
-         "GF({})-{}x{}-r{}-d{}".format(make_field(*f).q, *box)
-         for f, box in _BUDGET_BOXES])
+@pytest.mark.parametrize("field,box", _BUDGET_BOXES, ids=_BUDGET_IDS)
 def test_two_workers_give_the_serial_result_at_the_budget(field, box,
                                                           monkeypatch):
     # the budget falls one node before, at and one node after the serial
     # find, inside the first depth-1 candidate's tree or a later one's;
     # on the GF(4) tree, also inside runs that levels count in bulk
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _hand_off_at_once(monkeypatch)
     F = make_field(*field)
     nodes = search_constant_rank(F, *box).nodes_explored
     budgets = {nodes - 1, nodes, nodes + 1}
@@ -238,15 +246,17 @@ def test_bulk_counts_keep_the_finds_in_place(gf2, look_ahead, monkeypatch):
                                  budget, found), budget
 
 
+_CENSUS_GRID = {
+    2: [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)],
+    3: [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)],
+}
+
+
 def test_two_workers_give_the_serial_count_on_the_census_grid(monkeypatch):
     # the grid of acceptance criterion 9, traversed to the end, up to the
     # first dimension that exhausts: every higher one traverses that tree
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    shapes = {
-        2: [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)],
-        3: [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)],
-    }
-    for q, boxes in shapes.items():
+    _hand_off_at_once(monkeypatch)
+    for q, boxes in _CENSUS_GRID.items():
         F = make_field(q)
         for m, n in boxes:
             for r in range(1, m + 1):
@@ -264,21 +274,43 @@ def test_two_workers_give_the_serial_count_on_the_census_grid(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [(3,), (3, 2)], ids=["GF(3)", "GF(9)"])
-def test_engine_pickles_as_itself(field):
+def test_engine_pickles_as_itself(field, monkeypatch):
     # a worker started by spawn or forkserver unpickles the built engine,
     # pool and rank table included; the field arrays of an odd
     # characteristic hold functions that do not pickle, so it keeps none
-    engine = search_mod._Engine(make_field(*field), 2, 2, 2, 2, 100, True)
+    F = make_field(*field)
+    engine = search_mod._Engine(F, 2, 2, 2, 2, 100, True)
     copy = pickle.loads(pickle.dumps(engine))
     assert (copy.codes == engine.codes).all()
     assert (copy.table == engine.table).all()
     assert copy.run(0, len(copy.codes)) == engine.run(0, len(engine.codes))
+    # the engine handed to the workers, pickled after the main process
+    # stopped at its deadline, has none: a copy searches to the end
+    _hand_off_at_once(monkeypatch)
+
+    class Handed(Exception):
+        pass
+
+    def handed(*args, initargs, **kwargs):
+        raise Handed(pickle.loads(pickle.dumps(initargs[0])))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", handed)
+    box = (2, 3 if F.q == 3 else 2, 2, 2)
+    with pytest.raises(Handed) as caught:
+        search_constant_rank(F, *box, budget=10 ** 4, count_all=True,
+                             workers=2)
+    copy = caught.value.args[0]
+    assert copy.deadline is None and copy.resume > 0
+    whole = search_mod._Engine(F, *box, 10 ** 4, True).run(0, len(copy.codes))
+    assert len(whole) == 4
+    assert copy.run(0, len(copy.codes)) == whole
+    assert copy.resume is None
 
 
 def test_two_workers_give_the_serial_result_under_spawn(monkeypatch):
     # spawned workers unpickle the engine instead of inheriting it; the
     # GF(3) budget falls inside the tree (7,800 nodes in all)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _hand_off_at_once(monkeypatch)
     monkeypatch.setattr(search_mod, "multiprocessing",
                         multiprocessing.get_context("spawn"))
     methods = []
@@ -295,6 +327,122 @@ def test_two_workers_give_the_serial_result_under_spawn(monkeypatch):
         multi = search_constant_rank(F, 2, n, 2, 2, workers=2, **kwargs)
         assert _summary(multi) == _summary(serial), field
     assert methods == ["spawn", "spawn"]
+
+
+def test_small_searches_start_no_process(gf2, gf3, monkeypatch):
+    # at the default deadline the main process decides these alone, however
+    # slow the machine: the 4x4 find lies in its first block of depth-1
+    # candidates, and the GF(3) 2x2 tree has no other block
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
+    for F, box, kwargs in ((gf2, (4, 4, 2, 4), {}),
+                           (gf3, (2, 2, 2, 2), {"count_all": True})):
+        serial = search_constant_rank(F, *box, **kwargs)
+        multi = search_constant_rank(F, *box, workers=2, **kwargs)
+        assert _summary(multi) == _summary(serial), box
+    assert multiprocessing.active_children() == []
+
+
+def _hand_off_at(k, nodes_at):
+    """An _Engine._past_deadline for a main process that hands off at its
+    k-th top-level block boundary (never, if k is None), and records the
+    node count at each boundary in nodes_at.  An engine without a
+    deadline, as in a worker, never hands off."""
+    def past_deadline(self):
+        if self.deadline is None:
+            return False
+        nodes_at.append(self.nodes)
+        return len(nodes_at) == k
+    return past_deadline
+
+
+# Budget of the searches that _check_resume_points runs; every tree of the
+# census grid holds fewer nodes.
+_RESUME_BUDGET = 10 ** 7
+
+
+def _check_resume_points(F, box, count_all, monkeypatch, first=None):
+    """Hand a two-worker search off at each top-level block boundary k
+    in turn, among the first _RESUME_BUDGET nodes (and the first `first`
+    boundaries): at budgets one node before, at and one after the
+    boundary's node count, and at _RESUME_BUDGET, its outcome is the
+    serial one.  Returns the number of boundaries."""
+    points = []
+    with monkeypatch.context() as patch:
+        patch.setattr(search_mod._Engine, "_past_deadline",
+                      _hand_off_at(first, points))
+        engine = search_mod._Engine(F, *box, _RESUME_BUDGET, count_all)
+        engine.deadline = 0.0   # the spy records boundaries under a deadline
+        engine.run(0, len(engine.codes))
+    serial = {}
+    for k, at in enumerate(points[:first], 1):
+        for budget in (at - 1, at, at + 1, _RESUME_BUDGET):
+            kwargs = {"budget": budget, "count_all": count_all}
+            if budget not in serial:
+                serial[budget] = _summary(search_constant_rank(F, *box,
+                                                               **kwargs))
+            nodes_at = []
+            with monkeypatch.context() as patch:
+                patch.setattr(search_mod._Engine, "_past_deadline",
+                              _hand_off_at(k, nodes_at))
+                multi = search_constant_rank(F, *box, workers=2, **kwargs)
+            # below the boundary's count the budget stops the main process
+            assert nodes_at == points[:k - (budget < at)]
+            assert _summary(multi) == serial[budget], (k, budget)
+    return len(points[:first])
+
+
+def test_every_resume_point_gives_the_serial_result_on_the_census_grid(
+        monkeypatch):
+    # the grid of the two-worker census-grid parity, up to the first
+    # dimension that exhausts; without count_all a find lies in the first
+    # block, and an exhausted tree is the same with count_all
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    handed = 0
+    for q, boxes in _CENSUS_GRID.items():
+        F = make_field(q)
+        for m, n in boxes:
+            for r in range(1, m + 1):
+                for dim in range(1, m * n + 1):
+                    if gaussian_binomial(q, m * n, dim) > 10 ** 7:
+                        continue
+                    exhausted = search_constant_rank(F, m, n, r, dim).status \
+                        is SearchStatus.EXHAUSTED_NONE
+                    for count_all in (False,) if exhausted else (False, True):
+                        handed += _check_resume_points(
+                            F, (m, n, r, dim), count_all, monkeypatch)
+                    if exhausted:
+                        break
+    assert handed >= 40
+
+
+@pytest.mark.parametrize("field,box", _BUDGET_BOXES, ids=_BUDGET_IDS)
+def test_first_resume_points_give_the_serial_result_at_the_budget(
+        field, box, monkeypatch):
+    # the --all trees of the larger boxes, at their first two boundaries;
+    # the first block of the 4x4 r2 tree holds 5.4 million nodes and that
+    # of the 4x4 r3 tree more than 10^7
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    F = make_field(*field)
+    handed = sum(_check_resume_points(F, box, count_all, monkeypatch,
+                                      first=2)
+                 for count_all in (False, True))
+    assert handed == {(4, 4, 2, 4): 1, (4, 4, 3, 4): 0}.get(box, 2)
+
+
+def test_resume_points_give_the_serial_result_under_spawn(monkeypatch):
+    # spawned workers unpickle the engine the main process handed off, at
+    # the first two of the six boundaries of this tree
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search_mod, "multiprocessing",
+                        multiprocessing.get_context("spawn"))
+    handed = _check_resume_points(make_field(3), (2, 3, 2, 2), True,
+                                  monkeypatch, first=2)
+    assert handed == 2
 
 
 # batches that entered _run_batch after the stop flag was set, counted
@@ -314,17 +462,20 @@ def test_two_workers_cancel_the_batches_a_decided_search_skips(
     # and the running ones stop: at most one running and one queued per
     # worker, plus one more queued, enter after the flag; the workers end
     # of themselves and none is left behind
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _hand_off_at_once(monkeypatch)
     monkeypatch.setattr(search_mod, "_run_batch", _counted_batch)
     late = multiprocessing.RawValue("i", 0)
     monkeypatch.setattr(sys.modules[__name__], "_late_batches", late)
     budget_point = search_constant_rank(gf2, 3, 3, 2, 4).nodes_explored - 1
     runs = [
-        ((4, 4, 2, 4), {}),                          # found in the first batch
+        ((4, 4, 2, 4), {}),                  # found by the main process
         ((3, 3, 2, 4), {"budget": budget_point}),
         ((3, 3, 2, 4), {"count_all": True}),
         ((3, 3, 2, 5), {}),                          # exhausted
     ] + [((4, 4, 2, 4), {})] * 50
+    # the main process hands off at node 13,169 of the 160,982 of this
+    # exhausted tree; a worker batch runs out of the budget
+    runs += [((3, 3, 2, 5), {"budget": 20000})] * 20
     for box, kwargs in runs:
         serial = search_constant_rank(gf2, *box, **kwargs)
         late.value = 0
@@ -335,14 +486,16 @@ def test_two_workers_cancel_the_batches_a_decided_search_skips(
 
 
 def _dying_batch(bounds):
-    if bounds[0] == 1:
+    # the first batch handed to the workers, at the main process's resume
+    # point, kills the worker that receives it
+    if bounds[0] == search_mod._worker_engine.resume:
         os._exit(1)
     return _run_batch(bounds)
 
 
 def test_a_dead_worker_breaks_the_search(gf2, monkeypatch):
     # the pool notices the lost worker instead of waiting for its batch
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _hand_off_at_once(monkeypatch)
     monkeypatch.setattr(search_mod, "_run_batch", _dying_batch)
     t0 = time.perf_counter()
     with pytest.raises(BrokenProcessPool):
@@ -516,7 +669,7 @@ _pins = _pinned(_NON_BINARY_PINS)
 def test_non_binary_accounting_is_pinned(field, m, n, r, dim, count_all,
                                          budget, status, nodes, found,
                                          witness, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _hand_off_at_once(monkeypatch)
     kwargs = {"count_all": count_all}
     if budget is not None:
         kwargs["budget"] = budget
@@ -591,7 +744,7 @@ _SEARCH_PATHS = {"pool": {}, "stream": {"POOL_CAP": 1},
 def test_search_matches_the_naive_reference(field, boxes, path, monkeypatch):
     # at budget 1, at the node count and one either side, and at seeded
     # points inside the tree, with one worker and two
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _hand_off_at_once(monkeypatch)
     for name, value in _SEARCH_PATHS[path].items():
         monkeypatch.setattr(search_mod, name, value)
     F = make_field(*field)
@@ -663,7 +816,7 @@ def test_siblings_counted_in_bulk_match_the_naive_reference(
     # at budget 1, at the node count and one either side, at seeded points
     # inside the tree and inside runs counted in bulk, with one worker and
     # two
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _hand_off_at_once(monkeypatch)
     if look_ahead == "tiny-look-ahead":
         monkeypatch.setattr(search_mod, "_LOOK_AHEAD", _TINY_LOOK_AHEAD)
     F = make_field(*field)
@@ -700,7 +853,7 @@ def test_batched_levels_match_the_naive_reference(field, box, monkeypatch):
     # call, and at and one node before seeded finds of the --all search,
     # which the nodes counted before each chain of a batch put in place;
     # with and without count_all, with one worker and two
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _hand_off_at_once(monkeypatch)
     F = make_field(*field)
     R = reference.Field(F.p, F.e, F.modulus)
     rng = random.Random(f"batch {F.q} {box}")
@@ -895,7 +1048,7 @@ def test_census_matches_reference(field, m, n, max_dim, path, monkeypatch):
 def _closed_form_check(F, m, n, r, dim, expected, monkeypatch):
     if reference.gaussian_binomial(F.q, m * n, dim) <= DEFAULT_CENSUS_BUDGET:
         assert brute_force_census(F, m, n, r, dim) == expected
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _hand_off_at_once(monkeypatch)
     for workers in (1, 2):
         out = search_constant_rank(F, m, n, r, dim, count_all=True,
                                    workers=workers)
