@@ -24,9 +24,8 @@ bulk.  The pass reads a rank table indexed by code when there are at
 most POOL_CAP codes (in characteristic 2 the sum of two codes is then
 their XOR), and calls rank_batch otherwise.  Candidates streamed at
 each depth instead are ranked, checked and counted in chunks that grow.
-With several workers the main process searches first, and hands the
-depth-1 candidates it has not reached to worker processes only when the
-search would run past _HAND_OFF seconds.
+With several workers the main process searches alone for _HAND_OFF
+seconds, then hands what it has not finished to worker processes.
 
 brute_force_census counts the constant-rank subspaces of a given
 dimension over ALL reduced-echelon bases: per pivot pattern it keeps the
@@ -122,7 +121,8 @@ _BLOCK = 4096
 # sibling always goes in.
 _LOOK_AHEAD = 1 << 14
 # Worker processes cost more to start than most searches that end within
-# this many seconds take; the main process searches those alone.
+# this many seconds take; the main process searches those alone.  On a
+# longer search it loses at most this much work.
 _HAND_OFF = 0.15
 
 
@@ -160,7 +160,8 @@ class _Engine:
     Y's lead that miss both leads) and the leaves at the last depth,
     whose compatible ones are finds.  A budget stops the count exactly at
     it, and in a worker the shared flag stop (see _run_parallel) stops it
-    at the next count.
+    at the next count; in the main process a deadline hands the search
+    off at the next count (see run).
 
     The stream has no rank table.  It ranks and checks a chain's
     children in growing chunks, by rank_batch, and counts them in bulk.
@@ -255,17 +256,19 @@ class _Engine:
         """Search afresh from the depth-1 candidates codes[lo:hi] (every
         candidate when streaming): (nodes, found count, codes of the first
         witness or None, whether the budget stopped the search).  found_at,
-        if given, receives the node count at each find.  Once another
-        block of depth-1 candidates would end past deadline, if set, a
-        pooled search stops and sets resume to the first one not searched;
-        the counts returned are then those of the candidates before it."""
+        if given, receives the node count at each find.  Once deadline,
+        if set, has passed, the search stops at its next node count and
+        sets resume to the depth-1 candidate after the last block of them
+        it finished, if any is left; the counts returned are then those
+        of the candidates before it."""
         self.found_at = found_at
         self.nodes = self.found_count = 0
         self.witness: list[int] | None = None
         self.chain: list[int] = []
         self.resume = None
-        self.block_start = time.perf_counter()
+        self.handed = 0, 0, 0, None   # the last top-level block boundary
         try:
+            self._count(0)   # the deadline may have passed, or stop be set
             if self.codes is None:
                 self._stream(0, 0, np.zeros((1, self.mn), dtype=np.int32), 0)
             elif self.target_dim == 1:
@@ -281,18 +284,21 @@ class _Engine:
                             none.sum(1), none.sum(1), hi - lo)
         except _FoundEarly:
             pass
-        except _HandOff as e:
-            self.resume = lo + e.args[0]
+        except _HandOff:
+            i, self.nodes, self.found_count, self.witness = self.handed
+            self.resume = lo + i if lo + i < hi else None
         except _BudgetHit:
             return self.nodes, self.found_count, self.witness, True
         return self.nodes, self.found_count, self.witness, False
 
     def _count(self, nodes) -> None:
         """Count nodes that hold no find; stop at exactly the budget, or
-        at once when stop is set."""
+        at once when stop is set, or hand off once deadline has passed."""
         if self.nodes + nodes > self.budget or self.stop and self.stop.value:
             self.nodes = self.budget
             raise _BudgetHit
+        if self.deadline is not None and self._past_deadline():
+            raise _HandOff
         self.nodes += int(nodes)
 
     def _leaves(self, nodes, finds, witness) -> None:
@@ -413,19 +419,12 @@ class _Engine:
                 self._count(at[-1] + free[-1] - done)
             done = int(at[-1] + free[-1])
             free_before += int(free.sum())
-            # at the top, rows are depth-1 candidates, the first i counted
-            if not depth and i < len(rows) and self._past_deadline():
-                raise _HandOff(i)
+            if not depth:   # rows are depth-1 candidates, the first i counted
+                self.handed = i, self.nodes, self.found_count, self.witness
         self._count(ahead[-1] + len(rows) + len(skip) + free_before - done)
 
     def _past_deadline(self) -> bool:
-        """Whether deadline is set and one more block of depth-1
-        candidates, as long as the last, would end past it (blocks grow)."""
-        if self.deadline is None:
-            return False
-        now, last = time.perf_counter(), self.block_start
-        self.block_start = now
-        return 2 * now - last >= self.deadline
+        return time.perf_counter() > self.deadline
 
     def _look_ahead(self, ys, spans, bs, zs):
         """(good, elements): elements[:, b] holds c ys[b] + s for c != 0
@@ -537,10 +536,10 @@ def search_constant_rank(F: FieldSpec, m: int, n: int, r: int,
     With count_all the whole canonical tree is traversed and found_count
     reports the exact number of such subspaces (the witness returned is
     still the first in canonical order).  With several workers the main
-    process searches first; if the search would run past _HAND_OFF
+    process searches first; if the search is undecided after _HAND_OFF
     seconds, workers (at most one per core and per depth-1 candidate)
     run the serial engine on batches of the depth-1 candidates it has not
-    reached, handed out in index order, each under the whole budget, and
+    finished, handed out in index order, each under the whole budget, and
     their records merge into the serial result: the outcome does not
     depend on the worker count.  When the scalar-class count of the
     ambient space exceeds the pool cap, candidates are streamed instead
@@ -596,12 +595,12 @@ def _worker_count(requested: int, pool_len: int) -> int:
 
 def _run_parallel(engine, pool_len, workers):
     """engine.run(0, pool_len), searched in this process until it is
-    decided or would run past _HAND_OFF seconds, then from worker
-    processes that run copies of the engine on batches of consecutive
-    depth-1 candidates, from the first one not searched here.  The serial
-    budget point lies in the first batch that overruns the rest of the
-    budget, and the node counts of that batch's finds tell which of them
-    come before it."""
+    decided or _HAND_OFF seconds have passed, then from worker processes
+    that run copies of the engine on batches of consecutive depth-1
+    candidates, from the first one this process did not finish.  The
+    serial budget point lies in the first batch that overruns the rest of
+    the budget, and the node counts of that batch's finds tell which of
+    them come before it."""
     from concurrent.futures import ProcessPoolExecutor
 
     engine.deadline = time.perf_counter() + _HAND_OFF
@@ -611,8 +610,8 @@ def _run_parallel(engine, pool_len, workers):
         return nodes, found_count, witness, hit
     batches, lo = [], engine.resume
     while lo < pool_len:
-        # ranges that grow with their start: a later candidate has fewer
-        # successors in the canonical order
+        # single candidates first, then ranges that grow with their start:
+        # a later candidate has fewer successors in the canonical order
         batches.append((lo, min(pool_len, lo + 1 + lo // (8 * workers))))
         lo = batches[-1][1]
     # once the deciding batch is in, the batches not yet started are

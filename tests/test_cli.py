@@ -365,8 +365,8 @@ def test_search_all_counts_everything(capsys):
 def test_search_output_does_not_depend_on_workers(extra, code, capsys,
                                                   monkeypatch):
     # 187 nodes is where the serial search finds its witness; the main
-    # process hands the search to the workers after its first block of
-    # depth-1 candidates, so that they run on the --all tree
+    # process hands the search to the workers before it searches a node,
+    # so that they search every depth-1 candidate
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(search_mod, "_HAND_OFF", 0)
     argv = ["search", "--field", "GF(2)", "--shape", "3x3", "--rank", "2",

@@ -107,8 +107,8 @@ def test_report_bytes_match_the_golden(index, goldens, tmp_path, monkeypatch):
     monkeypatch.chdir(_HERE)
     monkeypatch.setenv("COLUMNS", _COLUMNS)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    # workers run wherever the search has more than one block of depth-1
-    # candidates, as on the --all tree
+    # the main process hands each search to the workers before it searches
+    # a node, so that they search every depth-1 candidate
     monkeypatch.setattr(search_mod, "_HAND_OFF", 0)
     golden = goldens[index]
     assert run_case(golden["argv"], str(tmp_path / "out.txt")) == golden

@@ -157,8 +157,8 @@ def test_found_with_count_all_reports_budget_state(gf2):
 
 def _hand_off_at_once(monkeypatch):
     """Two cores, and a main process that hands the search to the workers
-    after its first block of depth-1 candidates, so that they run on every
-    tree with more than one such block."""
+    before it searches a node, so that they search every depth-1
+    candidate."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(search_mod, "_HAND_OFF", 0)
 
@@ -176,11 +176,12 @@ def test_workers_do_not_change_the_answer(gf2, gf3):
     assert a.nodes_explored == b.nodes_explored
 
 
-def test_parallel_find_stops_the_chunks_after_it(gf2):
-    # the witness lies under the first depth-1 candidate; the second
-    # candidate's tree takes minutes, so this only returns in time if no
-    # process searches it to the end: the main process finds the witness
-    # in its first block of depth-1 candidates and starts no worker
+def test_parallel_find_stops_the_chunks_after_it(gf2, monkeypatch):
+    # the witness lies under the first depth-1 candidate; the next three
+    # hold witnesses of their own within 74,000 nodes, so the batches run
+    # beside the first end of themselves
+    # (test_the_stop_flag_ends_a_running_batch stops one that does not)
+    _hand_off_at_once(monkeypatch)
     base = search_constant_rank(gf2, 4, 4, 3, 5)
     t0 = time.perf_counter()
     multi = search_constant_rank(gf2, 4, 4, 3, 5, workers=2)
@@ -192,6 +193,31 @@ def test_parallel_find_stops_the_chunks_after_it(gf2):
 
 def _summary(out):
     return out.status, out.witness, out.nodes_explored, out.found_count
+
+
+def _stalled_batch(bounds):
+    # every batch but the first one handed to the workers first searches
+    # GF(2) 4x4 r2 d5 to the end, 2 * 10^9 nodes, under the worker's flag
+    if bounds[0] != search_mod._worker_engine.resume:
+        stalled = search_mod._Engine(make_field(2), 4, 4, 2, 5, 10 ** 12,
+                                     True)
+        stalled.stop = search_mod._worker_engine.stop
+        stalled.run(0, len(stalled.codes))
+    return _run_batch(bounds)
+
+
+def test_the_stop_flag_ends_a_running_batch(gf2, monkeypatch):
+    # the first batch holds the witness (node 187), while the batches
+    # after it take minutes each: the search only returns in time if the
+    # flag set once it is decided stops the batches already running
+    _hand_off_at_once(monkeypatch)
+    monkeypatch.setattr(search_mod, "_run_batch", _stalled_batch)
+    serial = search_constant_rank(gf2, 3, 3, 2, 4)
+    t0 = time.perf_counter()
+    multi = search_constant_rank(gf2, 3, 3, 2, 4, workers=2)
+    assert time.perf_counter() - t0 < 30.0
+    assert _summary(multi) == _summary(serial)
+    assert multiprocessing.active_children() == []
 
 
 _BUDGET_BOXES = [((2,), (3, 3, 2, 4)), ((2,), (3, 4, 2, 4)),
@@ -285,7 +311,8 @@ def test_engine_pickles_as_itself(field, monkeypatch):
     assert (copy.table == engine.table).all()
     assert copy.run(0, len(copy.codes)) == engine.run(0, len(engine.codes))
     # the engine handed to the workers, pickled after the main process
-    # stopped at its deadline, has none: a copy searches to the end
+    # stopped at its deadline, has none: a copy searches to the end and
+    # returns the 4-tuple of a run
     _hand_off_at_once(monkeypatch)
 
     class Handed(Exception):
@@ -300,7 +327,7 @@ def test_engine_pickles_as_itself(field, monkeypatch):
         search_constant_rank(F, *box, budget=10 ** 4, count_all=True,
                              workers=2)
     copy = caught.value.args[0]
-    assert copy.deadline is None and copy.resume > 0
+    assert copy.deadline is None and copy.resume == 0
     whole = search_mod._Engine(F, *box, 10 ** 4, True).run(0, len(copy.codes))
     assert len(whole) == 4
     assert copy.run(0, len(copy.codes)) == whole
@@ -330,9 +357,8 @@ def test_two_workers_give_the_serial_result_under_spawn(monkeypatch):
 
 
 def test_small_searches_start_no_process(gf2, gf3, monkeypatch):
-    # at the default deadline the main process decides these alone, however
-    # slow the machine: the 4x4 find lies in its first block of depth-1
-    # candidates, and the GF(3) 2x2 tree has no other block
+    # at the default deadline the main process decides these alone: each
+    # takes a few milliseconds, far below it
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
     def refused(*args, **kwargs):
@@ -347,16 +373,14 @@ def test_small_searches_start_no_process(gf2, gf3, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def _hand_off_at(k, nodes_at):
-    """An _Engine._past_deadline for a main process that hands off at its
-    k-th top-level block boundary (never, if k is None), and records the
-    node count at each boundary in nodes_at.  An engine without a
-    deadline, as in a worker, never hands off."""
+def _hand_off_at(call, seen):
+    """An _Engine._past_deadline for a main process whose deadline passes
+    at its call-th node count (never, if call is None); at each count it
+    records in seen the top-level block boundary (depth-1 candidates
+    finished, nodes) that a hand-off would resume from."""
     def past_deadline(self):
-        if self.deadline is None:
-            return False
-        nodes_at.append(self.nodes)
-        return len(nodes_at) == k
+        seen.append(self.handed[:2])
+        return len(seen) == call
     return past_deadline
 
 
@@ -366,34 +390,46 @@ _RESUME_BUDGET = 10 ** 7
 
 
 def _check_resume_points(F, box, count_all, monkeypatch, first=None):
-    """Hand a two-worker search off at each top-level block boundary k
-    in turn, among the first _RESUME_BUDGET nodes (and the first `first`
-    boundaries): at budgets one node before, at and one after the
-    boundary's node count, and at _RESUME_BUDGET, its outcome is the
-    serial one.  Returns the number of boundaries."""
-    points = []
+    """Hand a two-worker search off from each top-level block boundary in
+    turn, among the first _RESUME_BUDGET nodes (and the first `first`
+    boundaries): at the first node count after the boundary, at budgets
+    one node before, at and one after the boundary's node count and at
+    _RESUME_BUDGET, and at the last count before the next boundary, once
+    the main process has searched the whole next block, at
+    _RESUME_BUDGET, its outcome is the serial one.  Returns the number
+    of boundaries; a search of one depth-1 candidate runs in one process
+    and has none."""
+    seen = []
     with monkeypatch.context() as patch:
         patch.setattr(search_mod._Engine, "_past_deadline",
-                      _hand_off_at(first, points))
+                      _hand_off_at(None, seen))
         engine = search_mod._Engine(F, *box, _RESUME_BUDGET, count_all)
-        engine.deadline = 0.0   # the spy records boundaries under a deadline
+        if len(engine.codes) < 2:
+            return 0
+        engine.deadline = 0.0   # the spy sees the node counts under a deadline
         engine.run(0, len(engine.codes))
+    calls = {}   # boundary: the node counts that resume from it, 1-based
+    for call, boundary in enumerate(seen, 1):
+        calls.setdefault(boundary, []).append(call)
     serial = {}
-    for k, at in enumerate(points[:first], 1):
-        for budget in (at - 1, at, at + 1, _RESUME_BUDGET):
+    for (_, at), counts in list(calls.items())[:first]:
+        runs = [(counts[0], budget) for budget in (at - 1, at, at + 1)
+                if budget >= 1]
+        runs += [(counts[0], _RESUME_BUDGET), (counts[-1], _RESUME_BUDGET)]
+        for call, budget in dict.fromkeys(runs):
             kwargs = {"budget": budget, "count_all": count_all}
             if budget not in serial:
                 serial[budget] = _summary(search_constant_rank(F, *box,
                                                                **kwargs))
-            nodes_at = []
+            asked = []
             with monkeypatch.context() as patch:
                 patch.setattr(search_mod._Engine, "_past_deadline",
-                              _hand_off_at(k, nodes_at))
+                              _hand_off_at(call, asked))
                 multi = search_constant_rank(F, *box, workers=2, **kwargs)
-            # below the boundary's count the budget stops the main process
-            assert nodes_at == points[:k - (budget < at)]
-            assert _summary(multi) == serial[budget], (k, budget)
-    return len(points[:first])
+            if budget == _RESUME_BUDGET:   # the deadline passed
+                assert asked == seen[:call]
+            assert _summary(multi) == serial[budget], (at, call, budget)
+    return len(list(calls)[:first])
 
 
 def test_every_resume_point_gives_the_serial_result_on_the_census_grid(
@@ -417,32 +453,34 @@ def test_every_resume_point_gives_the_serial_result_on_the_census_grid(
                             F, (m, n, r, dim), count_all, monkeypatch)
                     if exhausted:
                         break
-    assert handed >= 40
+    assert handed >= 190
 
 
 @pytest.mark.parametrize("field,box", _BUDGET_BOXES, ids=_BUDGET_IDS)
 def test_first_resume_points_give_the_serial_result_at_the_budget(
         field, box, monkeypatch):
-    # the --all trees of the larger boxes, at their first two boundaries;
-    # the first block of the 4x4 r2 tree holds 5.4 million nodes and that
-    # of the 4x4 r3 tree more than 10^7
+    # the --all trees of the larger boxes, at their first three boundaries
+    # (the first before any depth-1 candidate); the first block of the 4x4
+    # r2 tree holds 5.4 million nodes and that of the 4x4 r3 tree more than
+    # 10^7; without count_all each search is decided in its first block
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     F = make_field(*field)
     handed = sum(_check_resume_points(F, box, count_all, monkeypatch,
-                                      first=2)
+                                      first=3)
                  for count_all in (False, True))
-    assert handed == {(4, 4, 2, 4): 1, (4, 4, 3, 4): 0}.get(box, 2)
+    assert handed == {(4, 4, 2, 4): 3, (4, 4, 3, 4): 2}.get(box, 4)
 
 
 def test_resume_points_give_the_serial_result_under_spawn(monkeypatch):
     # spawned workers unpickle the engine the main process handed off, at
-    # the first two of the six boundaries of this tree
+    # the first three of the eight boundaries of this tree, the first
+    # before any depth-1 candidate and the last after all of them
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(search_mod, "multiprocessing",
                         multiprocessing.get_context("spawn"))
     handed = _check_resume_points(make_field(3), (2, 3, 2, 2), True,
-                                  monkeypatch, first=2)
-    assert handed == 2
+                                  monkeypatch, first=3)
+    assert handed == 3
 
 
 # batches that entered _run_batch after the stop flag was set, counted
@@ -468,14 +506,11 @@ def test_two_workers_cancel_the_batches_a_decided_search_skips(
     monkeypatch.setattr(sys.modules[__name__], "_late_batches", late)
     budget_point = search_constant_rank(gf2, 3, 3, 2, 4).nodes_explored - 1
     runs = [
-        ((4, 4, 2, 4), {}),                  # found by the main process
+        ((4, 4, 2, 4), {}),                          # found in the first batch
         ((3, 3, 2, 4), {"budget": budget_point}),
         ((3, 3, 2, 4), {"count_all": True}),
         ((3, 3, 2, 5), {}),                          # exhausted
     ] + [((4, 4, 2, 4), {})] * 50
-    # the main process hands off at node 13,169 of the 160,982 of this
-    # exhausted tree; a worker batch runs out of the budget
-    runs += [((3, 3, 2, 5), {"budget": 20000})] * 20
     for box, kwargs in runs:
         serial = search_constant_rank(gf2, *box, **kwargs)
         late.value = 0
