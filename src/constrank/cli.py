@@ -56,21 +56,18 @@ _MAX_REPORTED_VIOLATIONS = 10
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive: {value}")
-    return value
-
-
 def _seed_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    value = _seed_int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive: {value}")
+    return value
 
 
 def _shape_type(text: str) -> tuple[int, int]:

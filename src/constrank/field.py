@@ -15,7 +15,10 @@ branch for a zero factor.  Addition is XOR in characteristic 2, a table of
 residues mod p in odd prime fields, and Zech logarithms in odd extensions:
 g^a + g^b = g^(a + Z(b - a)) with Z(k) = log(1 + g^k).  The scalar methods
 read the tables as tuples and FieldArrays reads the same tables as numpy
-arrays, so scalar code and the batched kernels share them.
+arrays, so scalar code and the batched kernels share them.  Construction
+multiplies one way too: the matrix of multiplication by g over GF(p) both
+finds the primitive element, the least code g with g^((q-1)/l) != 1 for
+every prime l dividing q - 1, and lists its powers.
 
 Instances are immutable and safe to share between threads.  For q <= 256 the
 field axioms are verified exhaustively at construction time, on q-by-q sum
@@ -190,41 +193,14 @@ class FieldSpec:
 
     # -- construction helpers ------------------------------------------------
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Product without tables: the schoolbook product of the digit
-        polynomials, reduced by the monic modulus."""
-        p, e, mod = self.p, self.e, self.modulus
-        da, db = ([c // p ** i % p for i in range(e)] for c in (a, b))
-        prod = [0] * (2 * e - 1)
-        for j, y in enumerate(db):
-            if y:
-                for i, x in enumerate(da):
-                    prod[i + j] += x * y
-        for k in range(2 * e - 2, e - 1, -1):
-            c = prod[k] % p
-            if c:
-                for t in range(e):
-                    prod[k - e + t] -= c * mod[t]
-        return sum(c % p * p ** i for i, c in enumerate(prod[:e]))
+    def _times(self, g: int) -> np.ndarray:
+        """The matrix of multiplication by g over GF(p).
 
-    def _pow_raw(self, a: int, k: int) -> int:
-        """a^k by square-and-multiply with _mul_raw."""
-        out = 1
-        while k:
-            if k & 1:
-                out = self._mul_raw(out, a)
-            a = self._mul_raw(a, a)
-            k >>= 1
-        return out
-
-    def _powers(self, g: int) -> list[int]:
-        """Codes of g^k for k < q - 1.
-
-        Row t of the matrix of multiplication by g holds the digits of
-        x^t g, each row the one before times x: a shift and one reduction
-        by the monic modulus (in a prime field the matrix is [[g]]).  The
-        powers are then listed by doubling, g^(n + k) = g^k g^n, so numpy
-        forms all of them in log2(q) steps.
+        Row t holds the digits of x^t g, each row the one before times x:
+        a shift and one reduction by the monic modulus (in a prime field
+        the matrix is [[g]]).  A row of digits times it is the digits of
+        that element times g; entries are below p, so the sums of such a
+        product stay below e p^2 <= 2^33 and int64 is exact.
         """
         p, e = self.p, self.e
         rows = [[g // p ** i % p for i in range(e)]]
@@ -232,7 +208,25 @@ class FieldSpec:
             top, shifted = rows[-1][-1], [0] + rows[-1][:-1]
             rows.append([(a - top * c) % p
                          for a, c in zip(shifted, self.modulus)])
-        step = np.array(rows, dtype=np.int64)
+        return np.array(rows, dtype=np.int64)
+
+    def _power(self, step: np.ndarray, k: int) -> int:
+        """Code of g^k by square-and-multiply on step, the matrix of
+        multiplication by g."""
+        p, e = self.p, self.e
+        out = np.eye(1, e, dtype=np.int64)   # the digits of g^0
+        while k:
+            if k & 1:
+                out = out @ step % p
+            step = step @ step % p
+            k >>= 1
+        return int(out[0] @ p ** np.arange(e))
+
+    def _powers(self, step: np.ndarray) -> list[int]:
+        """Codes of g^k for k < q - 1, listed by doubling from step, the
+        matrix of multiplication by g: g^(n + k) = g^k g^n, so numpy forms
+        all of them in log2(q) steps."""
+        p, e = self.p, self.e
         powers = np.eye(1, e, dtype=np.int64)   # the digits of g^0
         while len(powers) < self.q - 1:
             powers = np.concatenate((powers, powers @ step % p))
@@ -242,12 +236,15 @@ class FieldSpec:
     def _build_tables(self) -> None:
         q, p = self.q, self.p
         # g generates the multiplicative group when g^((q-1)/l) != 1 for
-        # every prime l dividing q - 1; g = 1 passes only when q = 2
+        # every prime l dividing q - 1; g = 1 passes only when q = 2.  The
+        # matrix of multiplication by g finds the primitive element, each
+        # power by square-and-multiply on it, and lists its powers.
         primes = [l for l in range(2, q) if (q - 1) % l == 0 and _is_prime(l)]
         for g in range(1, q):
-            if all(self._pow_raw(g, (q - 1) // l) != 1 for l in primes):
+            step = self._times(g)
+            if all(self._power(step, (q - 1) // l) != 1 for l in primes):
                 break
-        exp = self._powers(g)
+        exp = self._powers(step)
         log = [-1] * q
         for i, v in enumerate(exp):
             log[v] = i

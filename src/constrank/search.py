@@ -264,13 +264,12 @@ class _Engine:
         self.found_at = found_at
         self.nodes = self.found_count = 0
         self.witness: list[int] | None = None
-        self.chain: list[int] = []
         self.resume = None
         self.handed = 0, 0, 0, None   # the last top-level block boundary
         try:
             self._count(0)   # the deadline may have passed, or stop be set
             if self.codes is None:
-                self._stream(0, 0, np.zeros((1, self.mn), dtype=np.int32), 0)
+                self._stream(0, [], np.zeros((1, self.mn), dtype=np.int32), 0)
             elif self.target_dim == 1:
                 self._leaves(hi - lo, np.arange(1, hi - lo + 1),
                              [int(self.codes[lo])])
@@ -458,11 +457,13 @@ class _Engine:
                                    ).reshape(sums.shape[:2])
         return (ranks == self.r).all(axis=0)
 
-    def _stream(self, depth, after, span, mask) -> None:
-        """Count the children of the chain whose span is span (0 first),
-        the candidates above after whose support misses mask, block by
-        block, and search below those compatible with the span."""
-        for base, head, hit, supp, rows in self._blocks(after, mask):
+    def _stream(self, depth, chain, span, mask) -> None:
+        """Count the children of the chain of codes chain (empty at the
+        top) whose span is span (0 first), the candidates above its last
+        code whose support misses mask, block by block, and search below
+        those compatible with the span."""
+        for base, head, hit, supp, rows in self._blocks(
+                chain[-1] if chain else 0, mask):
             pos = lo = 0   # the candidates before pos are counted
             # chunks double from 16 candidates up to _LOOK_AHEAD sums, so an
             # early find is cheap; candidates have rank r, so 0 is not checked
@@ -471,18 +472,16 @@ class _Engine:
                 good = (np.ones(len(hit[lo:hi]), dtype=bool) if not depth else
                         self._compatible(span[1:, None], rows[lo:hi]))
                 if depth + 1 == self.target_dim:
-                    self._leaves(len(good), good.nonzero()[0] + 1, self.chain
+                    self._leaves(len(good), good.nonzero()[0] + 1, chain
                                  + [base + int(t) for t in hit[lo:hi][good][:1]])
                     pos = lo = lo + len(good)
                     continue
                 for i in (good.nonzero()[0] + lo).tolist():
                     self._count(i + 1 - pos)
                     pos = i + 1
-                    self.chain.append(base + int(hit[i]))
-                    self._stream(depth + 1, self.chain[-1], np.concatenate(
-                        (span, self._coset(rows[i], span))),
-                        mask | 1 << (head | int(supp[i])).bit_length() - 1)
-                    self.chain.pop()
+                    self._stream(depth + 1, chain + [base + int(hit[i])],
+                                 np.concatenate((span, self._coset(rows[i], span))),
+                                 mask | 1 << (head | int(supp[i])).bit_length() - 1)
                 lo = hi
             self._count(len(hit) - pos)
 

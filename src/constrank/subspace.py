@@ -35,7 +35,7 @@ from .errors import (
     UsageError,
     ZeroSpan,
 )
-from .field import FieldArrays, FieldSpec, parse_field_descriptor
+from .field import FieldArrays, parse_field_descriptor
 from .matrix import (
     MatGF,
     _parse_int,

@@ -10,6 +10,7 @@ verification.
 from __future__ import annotations
 
 import gc
+import math
 import pickle
 import random
 import tracemalloc
@@ -161,20 +162,41 @@ def test_nonzero_elements_have_order_dividing_q_minus_1(p, e):
         assert acc == 1
 
 
-@pytest.mark.parametrize("p,e,modulus", [
+# the least primitive code g = exp[1] of some fields, pinned; x (code p)
+# is not primitive under GF(2^8)'s default modulus
+_LEAST_PRIMITIVE = {(2, 8, None): 3, (2, 9, None): 7, (3, 10, None): 34,
+                    (251, 1, None): 6, (257, 1, None): 3, (65521, 1, None): 17,
+                    (2, 4, (1, 1, 1, 1, 1)): 3, (7, 2, None): 9}
+_EXP_FIELDS = [
     (2, 16, None), (3, 10, None), (65521, 1, None), (2, 9, None), (3, 6, None),
     (7, 2, None), (2, 4, (1, 1, 1, 1, 1)), (3, 2, (2, 2, 1)),
-], ids=["GF(2^16)", "GF(3^10)", "GF(65521)", "GF(2^9)", "GF(3^6)", "GF(7^2)",
-        "GF(2^4)[1,1,1,1,1]", "GF(3^2)[2,2,1]"])
+]
+# and every order up to 512 with its default modulus
+_EXP_FIELDS += [(p, e, None) for p in range(2, 513) for e in range(1, 10)
+                if p ** e <= 512 and all(p % d for d in range(2, p))
+                and (p, e, None) not in _EXP_FIELDS]
+
+
+def _field_id(p, e, modulus):
+    name = f"GF({p})" if e == 1 else f"GF({p}^{e})"
+    return name + (f"[{','.join(map(str, modulus))}]" if modulus else "")
+
+
+@pytest.mark.parametrize("p,e,modulus", _EXP_FIELDS,
+                         ids=[_field_id(*f) for f in _EXP_FIELDS])
 def test_exp_table_lists_the_powers_of_a_primitive_element(p, e, modulus):
     # each power is the one before times g = exp[1], by the schoolbook
     # product of the reference, on every step for q <= 4096 and on 3000
     # seeded steps otherwise; g is primitive when the first q - 1 powers
-    # are the q - 1 nonzero codes
+    # are the q - 1 nonzero codes, and it is the least primitive code when
+    # every c < g, which is g^log[c], has gcd(log[c], q - 1) > 1
     F = make_field(p, e, modulus)
     q, exp = F.q, F.exp_table
     assert exp[0] == 1
     assert sorted(exp[: q - 1]) == list(range(1, q))
+    assert all(math.gcd(F.log_table[c], q - 1) > 1 for c in range(1, exp[1]))
+    if (p, e, modulus) in _LEAST_PRIMITIVE:
+        assert exp[1] == _LEAST_PRIMITIVE[p, e, modulus]
     steps = range(q - 2) if q <= 4096 else random.Random(q).sample(range(q - 2), 3000)
     for k in steps:
         assert exp[k + 1] == ref_mul(F, exp[k], exp[1]), k
